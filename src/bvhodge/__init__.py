@@ -12,11 +12,7 @@ group-averaged Euler characteristic.  All arithmetic is exact.
 
 from .closed_forms import (
     HodgePair,
-    aas_relations_order4,
-    classic_bv,
     closed_form_pair,
-    corollary_order6,
-    cy_euler_relation,
     euler_formula,
     hodge_order2,
     hodge_order3,
@@ -27,8 +23,6 @@ from .cyclic import (
     GroupElement,
     LocalAction,
     age,
-    age_is_integral_iff_unimodular,
-    intersection_class,
     power_transport,
 )
 from .engine import (
@@ -94,16 +88,11 @@ __all__ = [
     "SectorContribution",
     "SubgroupFixedRecord",
     "Violation",
-    "aas_relations_order4",
     "add_shifted",
     "age",
-    "age_is_integral_iff_unimodular",
-    "classic_bv",
     "closed_form_pair",
-    "corollary_order6",
     "crosscheck",
     "curve_character_dims",
-    "cy_euler_relation",
     "elliptic_fixture",
     "euler_characteristic",
     "euler_fixed_set",
@@ -116,7 +105,6 @@ __all__ = [
     "hodge_order3",
     "hodge_order4",
     "hodge_order6",
-    "intersection_class",
     "invariant_diamond",
     "invariant_pairing",
     "kunneth_character_product",

@@ -68,6 +68,12 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    return value
+
+
 def _no_extras(doc: dict, allowed, path: str):
     extras = sorted(set(doc) - set(allowed))
     if extras:
@@ -81,9 +87,8 @@ def _parse_curve(doc: dict, path: str) -> CurveOrbit:
                      "char_dims", "count"), path)
     char_dims = doc.get("char_dims")
     if char_dims is not None:
-        if not isinstance(char_dims, list):
-            raise SchemaError(f"{path}.char_dims: expected a list")
-        char_dims = tuple(_as_int(v, f"{path}.char_dims[{i}]") for i, v in enumerate(char_dims))
+        char_dims = tuple(_as_int(v, f"{path}.char_dims[{i}]")
+                          for i, v in enumerate(_as_list(char_dims, f"{path}.char_dims")))
     return CurveOrbit(
         genus=_as_int(_need(doc, "genus", path), f"{path}.genus"),
         orbit_size=_as_int(doc.get("orbit_size", 1), f"{path}.orbit_size"),
@@ -110,36 +115,35 @@ def _parse_point(doc: dict, path: str) -> PointOrbit:
 
 
 def _parse_raw(order: int, doc: dict) -> K3Config:
+    if not isinstance(doc, dict):
+        raise SchemaError("raw: expected an object")
     _no_extras(doc, ("eigenspace_dims", "subgroups"), "raw")
-    dims = _need(doc, "eigenspace_dims", "raw")
-    if not isinstance(dims, list):
-        raise SchemaError("raw.eigenspace_dims: expected a list")
+    dims = _as_list(_need(doc, "eigenspace_dims", "raw"), "raw.eigenspace_dims")
     dims = tuple(_as_int(v, f"raw.eigenspace_dims[{i}]") for i, v in enumerate(dims))
     if len(dims) != order:
         raise SchemaError(f"raw.eigenspace_dims: expected {order} entries, got {len(dims)}")
-    subgroups = doc.get("subgroups", [])
-    if not isinstance(subgroups, list):
-        raise SchemaError("raw.subgroups: expected a list")
     records = []
-    for i, sub in enumerate(subgroups):
+    for i, sub in enumerate(_as_list(doc.get("subgroups", []), "raw.subgroups")):
         path = f"raw.subgroups[{i}]"
         if not isinstance(sub, dict):
             raise SchemaError(f"{path}: expected an object")
         _no_extras(sub, ("order", "curves", "points"), path)
         d = _as_int(_need(sub, "order", path), f"{path}.order")
         curves = tuple(_parse_curve(c, f"{path}.curves[{ci}]")
-                       for ci, c in enumerate(sub.get("curves", [])))
+                       for ci, c in enumerate(_as_list(sub.get("curves", []), f"{path}.curves")))
         points = tuple(_parse_point(p, f"{path}.points[{pi}]")
-                       for pi, p in enumerate(sub.get("points", [])))
+                       for pi, p in enumerate(_as_list(sub.get("points", []), f"{path}.points")))
         records.append(SubgroupFixedRecord(d, curves, points))
     return K3Config(order, EigenspaceDims(order, dims), tuple(records))
 
 
 def parse_config(doc: dict) -> K3Config:
-    """Validate the schema of a configuration document and build the model.
+    """Check the schema of a configuration document and build a valid model.
 
-    Semantic violations (impossible counts, failed shape relations) are not
-    raised here; they surface from validation or the constructors.
+    A malformed document raises :class:`SchemaError`.  An impossible one
+    raises :class:`InvariantError`: a named document from its constructor,
+    a raw one from :func:`validate` here.  Nothing downstream validates
+    again.
     """
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
@@ -151,7 +155,11 @@ def parse_config(doc: dict) -> K3Config:
     if has_inv == has_raw:
         raise SchemaError("top level: exactly one of 'invariants' or 'raw' is required")
     if has_raw:
-        return _parse_raw(order, doc["raw"])
+        cfg = _parse_raw(order, doc["raw"])
+        violations = validate(cfg)
+        if violations:
+            raise InvariantError(violations)
+        return cfg
     inv = doc["invariants"]
     if not isinstance(inv, dict):
         raise SchemaError("invariants: expected an object")
@@ -161,10 +169,8 @@ def parse_config(doc: dict) -> K3Config:
     for key in keys:
         value = _need(inv, key, "invariants")
         if key == "curve_genera":
-            if not isinstance(value, list):
-                raise SchemaError("invariants.curve_genera: expected a list")
             kwargs[key] = [_as_int(v, f"invariants.curve_genera[{i}]")
-                           for i, v in enumerate(value)]
+                           for i, v in enumerate(_as_list(value, "invariants.curve_genera"))]
         elif key == "D_type":
             if value not in ("first", "second"):
                 raise SchemaError(f"invariants.D_type: expected 'first' or 'second', got {value!r}")
@@ -180,7 +186,7 @@ class RunReport:
 
     order: int
     config_echo: dict
-    violations: tuple[str, ...]
+    violations: tuple[str, ...] = ()
     diamond: Optional[tuple[tuple[int, ...], ...]] = None
     engine: Optional[tuple[int, int, int]] = None  # (h11, h21, e)
     closed: Optional[tuple[int, int, int]] = None
@@ -189,11 +195,10 @@ class RunReport:
 
 
 def run(cfg: K3Config, doc: dict, checks: bool = True) -> RunReport:
-    """Compute the diamond, the Euler characteristic and the cross-checks."""
-    violations = validate(cfg, "engine")
-    errors = [v for v in violations if v.level == "error"]
-    if errors:
-        return RunReport(cfg.n, doc, tuple(str(v) for v in violations), exit_code=EXIT_INVALID)
+    """Compute the diamond, the Euler characteristic and the cross-checks.
+
+    ``cfg`` is trusted to be valid, as :func:`parse_config` returns it.
+    """
     if checks:
         report: CrosscheckReport = crosscheck(cfg)
         diamond = report.diamond
@@ -203,7 +208,7 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> RunReport:
             closed_checks = {c.name: c for c in report.checks}
             closed = (report.closed.h11, report.closed.h21, closed_checks["closed_form_euler"].rhs)
         return RunReport(
-            cfg.n, doc, tuple(str(v) for v in violations),
+            cfg.n, doc,
             diamond=diamond.table,
             engine=(report.h11, report.h21, e_pair),
             closed=closed,
@@ -212,7 +217,7 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> RunReport:
         )
     diamond = orbifold_hodge_diamond(cfg)
     return RunReport(
-        cfg.n, doc, tuple(str(v) for v in violations),
+        cfg.n, doc,
         diamond=diamond.table,
         engine=(diamond.entry(1, 1), diamond.entry(2, 1), orbifold_euler_pairsum(cfg)),
     )
@@ -287,13 +292,19 @@ def load_fixture_text(name: str) -> str:
 
 
 def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, int]:
-    """Full pipeline from document text to (rendered report, exit code)."""
-    doc = json.loads(text)
+    """Full pipeline from document text to (rendered report, exit code).
+
+    Invalid JSON raises :class:`json.JSONDecodeError` and a malformed
+    document, including one nested too deeply to parse, :class:`SchemaError`.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise SchemaError("document nested too deeply") from None
     try:
         cfg = parse_config(doc)
     except InvariantError as exc:
-        order = doc.get("order") if isinstance(doc, dict) else None
-        report = RunReport(order, doc, tuple(str(v) for v in exc.violations),
+        report = RunReport(doc["order"], doc, tuple(str(v) for v in exc.violations),
                            exit_code=EXIT_INVALID)
         return emit(report, fmt), EXIT_INVALID
     report = run(cfg, doc, checks=checks)

@@ -1,10 +1,9 @@
 """Closed formulas for the Hodge numbers of the resolved quotients.
 
 One function per order, written directly in the named fixed-locus
-invariants, plus the lattice-style relations used to pin the eigenspace
-dimensions for order 4, the reduced pair-sum Euler formulas, and the
-order-6 consistency identity.  The general engine must agree with every
-formula here; that equality is the backbone of the test suite.
+invariants, and the reduced pair-sum Euler formulas.  The general engine
+must agree with every formula here; that equality is the backbone of the
+test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fixed_locus import K3_H2_DIM
+from .fixed_locus import K3_H2_DIM, InvariantError, order4_relations
 
 
 @dataclass(frozen=True)
@@ -34,21 +33,6 @@ def hodge_order2(r: int, m: int, n_curves: int, genus_sum: int) -> HodgePair:
     return HodgePair(r + 1 + 4 * n_curves, m - 1 + 4 * genus_sum)
 
 
-def classic_bv(n_curves: int, genus_sum: int) -> HodgePair:
-    """Involution quotient in terms of the fixed-curve data alone.
-
-    Implemented as h11 = 11 + 5N - N', h21 = 11 + 5N' - N, the orientation
-    that matches :func:`hodge_order2` under the rank relation
-    r = 10 + N - N'.  The transposed orientation also circulates; the form
-    used here is the one consistent with the eigenspace computation, and
-    the agreement is pinned by tests.
-    """
-    return HodgePair(
-        11 + 5 * n_curves - genus_sum,
-        11 + 5 * genus_sum - n_curves,
-    )
-
-
 def hodge_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> HodgePair:
     """Order 3: k fixed curves (top genus g_C) and n isolated points."""
     if r + 2 * m != K3_H2_DIM:
@@ -62,39 +46,17 @@ def hodge_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: int,
 
     h11 is the same in both cases; h21 is m - 1 + 7g(D) when D is pointwise
     fixed (first type) and m + 2g(D) - n2/2 when D is merely invariant
-    (second type, n2 even).
+    (second type, n2 even).  The counts must satisfy
+    :func:`~bvhodge.fixed_locus.order4_relations`.
     """
-    h = (k - g_D) if D_type == "first" else k
-    if D_type == "first":
-        if n2 != 0 or n1 != 2 * h + 4 or 2 * b != n1:
-            raise ValueError("first type needs n2 = 0, n1 = 2h+4 and b = n1/2")
-    elif D_type == "second":
-        if n2 % 2:
-            raise ValueError("n2 must be even in the second case")
-        if n1 + n2 != 2 * h + 4 or b != n1 // 2 + 1:
-            raise ValueError("second type needs n1+n2 = 2h+4 and b = n1/2 + 1")
-    else:
+    if D_type not in ("first", "second"):
         raise ValueError(f"D_type must be 'first' or 'second', got {D_type!r}")
+    violations = order4_relations(k, b, n1, n2, g_D, D_type)
+    if violations:
+        raise InvariantError(violations)
     h11 = 1 + r + 7 * k + 3 * b + 2 * (n1 + n2) + 4 * a
     h21 = (m - 1 + 7 * g_D) if D_type == "first" else (m + 2 * g_D - n2 // 2)
     return HodgePair(h11, h21)
-
-
-def aas_relations_order4(k: int, a: int, b: int, g_D: int, h: int) -> tuple[int, int]:
-    """Rank relations pinning (r, m) to the order-4 fixed-locus counts.
-
-    r = (12 + k + 2a + b - g(D) + 4h)/2 and m = (12 - k - 2a - b + g(D))/2,
-    with h the total rational defect of the pointwise-fixed curves.  Both
-    numerators must be even and the results nonnegative.
-    """
-    r_num = 12 + k + 2 * a + b - g_D + 4 * h
-    m_num = 12 - k - 2 * a - b + g_D
-    if r_num % 2 or m_num % 2:
-        raise ValueError(f"parity failure: ({r_num}, {m_num}) must both be even")
-    r, m = r_num // 2, m_num // 2
-    if r < 0 or m < 0:
-        raise ValueError(f"negative rank from the relations: ({r}, {m})")
-    return r, m
 
 
 def hodge_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: int,
@@ -142,27 +104,6 @@ def euler_formula(order: int, e_values: Sequence[int]) -> int:
     if len(e_values) != len(weights):
         raise ValueError(f"order {order} needs {len(weights)} Euler values")
     return sum(w * e for w, e in zip(weights, e_values))
-
-
-def cy_euler_relation(h11: int, e: int) -> int:
-    """Solve e = 2(h11 - h21) for h21; e must be even."""
-    if e % 2:
-        raise ValueError(f"Euler characteristic of a Calabi-Yau threefold is even, got {e}")
-    return h11 - e // 2
-
-
-def corollary_order6(r: int, m: int, l: int, b: int, a: int, n_prime: int,
-                     p25: int, p34: int, n: int, g_D: int) -> int:
-    """Consistency functional of the order-6 invariants.
-
-    Evaluates -m + r + 2 - 2l - 2b - 2a + 3n' + p25 - p34 - 2n + 4g(D).
-    It vanishes on invariant tuples for which the cohomological and the
-    Euler-characteristic computations of h^{2,1} coincide term by term
-    (in particular with g(D) = 0 and residual-action-free top curves);
-    a nonzero value flags an inconsistent tuple.
-    """
-    return (-m + r + 2 - 2 * l - 2 * b - 2 * a + 3 * n_prime
-            + p25 - p34 - 2 * n + 4 * g_D)
 
 
 def closed_form_pair(order: int, invariants: Mapping) -> HodgePair:

@@ -1,4 +1,4 @@
-"""Elements of C_n, linearized local actions, ages, and intersection classes.
+"""Elements of C_n, linearized local actions and their ages.
 
 Conventions, fixed once for the whole package:
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -57,31 +56,8 @@ def age(action: LocalAction) -> Fraction:
     return Fraction(sum(action.exponents), action.n)
 
 
-def age_is_integral_iff_unimodular(action: LocalAction) -> tuple[bool, bool]:
-    """Return (age is an integer, determinant equals 1).
-
-    The two predicates agree for every action; returning both makes the
-    equivalence directly testable.
-    """
-    a = age(action)
-    det_is_one = sum(action.exponents) % action.n == 0
-    return (a.denominator == 1, det_is_one)
-
-
 def power_transport(action: LocalAction, u: int) -> LocalAction:
     """Local action of the u-th power: every exponent is multiplied by u."""
     if u < 1:
         raise ValueError(f"power must be at least 1, got {u}")
     return LocalAction(action.n, tuple((u * e) % action.n for e in action.exponents))
-
-
-def intersection_class(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Class of the subgroup generated by two elements.
-
-    For g = alpha^j and h = alpha^k the fixed sets satisfy
-    Fix(g) intersect Fix(h) = Fix(alpha^gcd(j, k, n)), so the pair reduces
-    to the single residue gcd(j, k, n) mod n (0 for the identity pair).
-    """
-    if a.n != b.n:
-        raise ValueError(f"modulus mismatch: {a.n} != {b.n}")
-    return GroupElement(a.n, gcd(a.j, b.j, a.n) % a.n)

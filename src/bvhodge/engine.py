@@ -8,6 +8,10 @@ permutes these components and acts on their cohomology through the
 residual data stored in the configuration.  Every invariant dimension is
 an invariant pairing of two character vectors, and every component
 carries an integral age that shifts its contribution diagonally.
+
+The engine trusts its configuration: the named constructors and the
+raw-document parser validate each one as they build it.  A configuration
+built by hand is checked with :func:`bvhodge.fixed_locus.validate` first.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def k3_character_table(cfg: K3Config) -> BigradedCharacterTable:
     dims[1 % n] -= 1
     dims[(n - 1) % n] -= 1
     if min(dims) < 0:
-        raise InvariantError(validate(cfg, "engine"))
+        raise InvariantError(validate(cfg))
     table = BigradedCharacterTable.from_entries(n, 2, {
         (0, 0): CharacterVector.delta(n, 0),
         (2, 2): CharacterVector.delta(n, 0),
@@ -79,7 +83,6 @@ def elliptic_character_table(n: int) -> BigradedCharacterTable:
 
 def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
     """Invariant part of the cohomology of the product, as a threefold diamond."""
-    _require_valid(cfg)
     product = kunneth_character_product(k3_character_table(cfg), elliptic_character_table(cfg.n))
     return invariant_diamond(product)
 
@@ -254,9 +257,9 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
 
     Always: the alternating sum of the engine diamond against the pair-sum
     Euler characteristic, and h^{2,1} against h^{1,1} - e/2.  When the
-    configuration carries named invariants satisfying the closed-form
-    prerequisites, also engine against closed forms; otherwise those checks
-    are reported as skipped.  Mismatches are data, not exceptions.
+    configuration carries the named invariants its constructor built it
+    from, also engine against closed forms; otherwise those checks are
+    reported as skipped.  Mismatches are data, not exceptions.
     """
     diamond = orbifold_hodge_diamond(cfg)
     h11, h21 = diamond.entry(1, 1), diamond.entry(2, 1)
@@ -269,11 +272,7 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
         checks.append(Check("cy_relation", "fail", h21, None))
 
     closed = None
-    closed_applicable = (
-        cfg.invariants is not None
-        and not any(v.level == "error" for v in validate(cfg, "closed_form"))
-    )
-    if closed_applicable:
+    if cfg.invariants is not None:
         closed = closed_form_pair(cfg.n, cfg.invariants)
         classes = sorted({gcd(r, cfg.n) for r in range(1, cfg.n)})
         e_closed = euler_formula(cfg.n, [euler_fixed_set(cfg, c) for c in classes])
@@ -285,9 +284,3 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
                       ("closed_form_h11", "closed_form_h21", "closed_form_euler"))
     return CrosscheckReport(diamond, h11, h21, e_diamond, e_pair, closed, tuple(checks))
 
-
-def _require_valid(cfg: K3Config):
-    violations = validate(cfg, "engine")
-    errors = [v for v in violations if v.level == "error"]
-    if errors:
-        raise InvariantError(errors)

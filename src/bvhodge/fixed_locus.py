@@ -29,14 +29,13 @@ K3_H2_DIM = 22
 
 @dataclass(frozen=True)
 class Violation:
-    """One validation finding.  Level is 'error' or 'warning'."""
+    """One validation finding: where in the configuration, and what is wrong."""
 
-    level: str
     where: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.level}: {self.where}: {self.message}"
+        return f"error: {self.where}: {self.message}"
 
 
 class InvariantError(ValueError):
@@ -280,31 +279,24 @@ def euler_fixed_set(cfg: K3Config, j: Union[int, GroupElement]) -> int:
 # validation
 
 
-def _err(where, message):
-    return Violation("error", where, message)
-
-
-def _warn(where, message):
-    return Violation("warning", where, message)
-
-
 def _validate_eigenspace(cfg: K3Config, out: list):
     n, dims = cfg.n, cfg.eigenspace.dims
     where = "eigenspace_dims"
     if any(v < 0 for v in dims):
-        out.append(_err(where, "dimensions must be nonnegative"))
+        out.append(Violation(where, "dimensions must be nonnegative"))
         return
     if sum(dims) != K3_H2_DIM:
-        out.append(_err(where, f"eigenspace dims must sum to {K3_H2_DIM}, got {sum(dims)}"))
+        out.append(Violation(where, f"eigenspace dims must sum to {K3_H2_DIM}, got {sum(dims)}"))
     for jj in range(1, n):
         if dims[jj] != dims[n - jj]:
-            out.append(_err(where, f"conjugate symmetry fails: d[{jj}] != d[{n - jj}]"))
+            out.append(Violation(where, f"conjugate symmetry fails: d[{jj}] != d[{n - jj}]"))
             break
     if dims[0] < 1:
-        out.append(_err(where, "invariant part d[0] must be at least 1"))
+        out.append(Violation(where, "invariant part d[0] must be at least 1"))
     need = 2 if n == 2 else 1
     if dims[1] < need:
-        out.append(_err(where, f"d[1] must be at least {need} (it contains the period classes)"))
+        out.append(Violation(
+            where, f"d[1] must be at least {need} (it contains the period classes)"))
 
 
 def _validate_records(cfg: K3Config, out: list):
@@ -314,26 +306,26 @@ def _validate_records(cfg: K3Config, out: list):
         d = rec.subgroup_order
         where = f"subgroup[{d}]"
         if d <= 1 or n % d:
-            out.append(_err(where, f"subgroup order must be a divisor of {n} greater than 1"))
+            out.append(Violation(where, f"subgroup order must be a divisor of {n} greater than 1"))
             continue
         if d in seen:
-            out.append(_err(where, "duplicate record for this subgroup"))
+            out.append(Violation(where, "duplicate record for this subgroup"))
             continue
         seen.add(d)
         for i, c in enumerate(rec.curves):
             w = f"{where}.curves[{i}]"
             if c.count < 1 or c.orbit_size < 1:
-                out.append(_err(w, "count and orbit_size must be at least 1"))
+                out.append(Violation(w, "count and orbit_size must be at least 1"))
                 continue
             if c.genus < 0:
-                out.append(_err(w, "genus must be nonnegative"))
+                out.append(Violation(w, "genus must be nonnegative"))
                 continue
             rho = c.residual_order
             if rho < 1 or rho not in (1, 2, 3):
-                out.append(_err(w, f"residual order {rho} not supported (1, 2 or 3)"))
+                out.append(Violation(w, f"residual order {rho} not supported (1, 2 or 3)"))
                 continue
             if n % (c.orbit_size * rho * d):
-                out.append(_err(
+                out.append(Violation(
                     w,
                     f"orbit size {c.orbit_size}, residual order {rho} and subgroup order "
                     f"{d} must multiply into a divisor of {n}",
@@ -341,152 +333,86 @@ def _validate_records(cfg: K3Config, out: list):
                 continue
             gq = c.quotient_genus
             if gq is None:
-                out.append(_err(w, "quotient_genus is required when residual_order > 1"))
+                out.append(Violation(w, "quotient_genus is required when residual_order > 1"))
                 continue
             if rho == 1 and gq != c.genus:
-                out.append(_err(w, "a pointwise-fixed curve has quotient genus equal to its genus"))
-            if gq < 0 or gq > c.genus:
-                out.append(_err(w, f"quotient genus must lie in 0..{c.genus}"))
-            if c.char_dims is not None:
+                out.append(Violation(
+                    w, "a pointwise-fixed curve has quotient genus equal to its genus"))
+            gq_in_range = 0 <= gq <= c.genus
+            if not gq_in_range:
+                out.append(Violation(w, f"quotient genus must lie in 0..{c.genus}"))
+            # the engine splits the 1-forms of every residual order-3 curve,
+            # and the default split needs an even non-invariant dimension
+            if c.char_dims is not None or (rho == 3 and gq_in_range):
                 try:
                     curve_character_dims(c, n)
                 except ValueError as exc:
-                    out.append(_err(w, str(exc)))
+                    out.append(Violation(w, str(exc)))
         for i, p in enumerate(rec.points):
             w = f"{where}.points[{i}]"
             if p.count < 1 or p.orbit_size < 1:
-                out.append(_err(w, "count and orbit_size must be at least 1"))
+                out.append(Violation(w, "count and orbit_size must be at least 1"))
                 continue
             if (n // d) % p.orbit_size:
-                out.append(_err(w, f"point orbit size must divide {n // d}"))
+                out.append(Violation(w, f"point orbit size must divide {n // d}"))
             t1, t2 = p.type_exponents
             step = n // d
             if t1 % n == 0 or t2 % n == 0:
-                out.append(_err(w, "type exponents must be nonzero (zero means a fixed curve)"))
+                out.append(Violation(
+                    w, "type exponents must be nonzero (zero means a fixed curve)"))
             elif t1 % step or t2 % step:
-                out.append(_err(w, f"type exponents must be multiples of {step}"))
+                out.append(Violation(w, f"type exponents must be multiples of {step}"))
             elif (t1 + t2) % n != step % n:
-                out.append(_err(
+                out.append(Violation(
                     w,
                     f"type exponents must sum to {step} mod {n} "
                     "(the subgroup generator scales the period by that character)",
                 ))
 
 
-def _order4_shape(cfg: K3Config):
-    """Collect the order-4 bookkeeping counts from the records."""
-    rec4, rec2 = cfg.record(4), cfg.record(2)
-    k = rec4.curve_count()
-    n_points = rec4.point_count()
-    b = sum(c.count for c in rec2.curves if c.orbit_size == 1 and c.residual_order == 2)
-    a = sum(c.count for c in rec2.curves if c.orbit_size == 2)
-    big_n = rec2.curve_count()
-    h = sum(c.count * (1 - c.genus) for c in rec4.curves)
-    g_fixed = rec4.max_genus()
-    ro2 = [c for c in rec2.curves if c.orbit_size == 1 and c.residual_order == 2]
-    g_inv = max((c.genus for c in ro2), default=0)
-    return k, n_points, b, a, big_n, h, g_fixed, g_inv, ro2
+def validate(cfg: K3Config) -> list[Violation]:
+    """Check the structural rules of a configuration; returns findings instead of raising.
 
-
-def _validate_order3_shape(cfg: K3Config, out: list):
-    rec = cfg.record(3)
-    if rec.curve_count() + rec.point_count() == 0:
-        out.append(_err("subgroup[3]", "an order-3 action always has a nonempty fixed locus"))
-    genus_curves = sum(c.count for c in rec.curves if c.genus > 0)
-    if genus_curves > 1:
-        out.append(_warn("subgroup[3]", "more than one positive-genus fixed curve"))
-
-
-def _order4_type_violations(d_type, k, n_points, b, h, g_d, n2_implied):
-    where = "order4"
-    v = []
-    if d_type == "first":
-        if h != k - g_d:
-            v.append(_err(where, f"first type needs h = k - g(D) ({h} != {k}-{g_d})"))
-        if n_points != 2 * h + 4:
-            v.append(_err(where, f"first type needs n1 = 2h+4 ({n_points} != 2*{h}+4)"))
-        if 2 * b != n_points:
-            v.append(_err(where, f"first type needs b = n1/2 ({b} != {n_points}/2)"))
-    else:
-        if h != k:
-            v.append(_err(where, f"second type needs h = k ({h} != {k})"))
-        if n_points != 2 * h + 4:
-            v.append(_err(where, f"second type needs n1+n2 = 2h+4 ({n_points} != 2*{h}+4)"))
-        if 2 * (b - 1) != n_points - n2_implied:
-            v.append(_err(where, f"second type needs b = n1/2 + 1 "
-                                 f"({b} != ({n_points} - {n2_implied})/2 + 1)"))
-    return v
-
-
-def _validate_order4_shape(cfg: K3Config, out: list):
-    k, n_points, b, a, big_n, h, g_fixed, g_inv, ro2 = _order4_shape(cfg)
-    where = "order4"
-    if big_n != k + b + 2 * a:
-        out.append(_err(where, f"curve count fixed by the square must be N = k+b+2a "
-                               f"({big_n} != {k}+{b}+2*{a})"))
-    if g_fixed > 0 and g_inv > 0:
-        out.append(_warn(where, "two positive-genus curves fixed by the square"))
-    n2_second = (
-        sum(c.count * (2 + 2 * c.genus - 4 * c.quotient_genus) for c in ro2 if c.genus > 0)
-        if g_inv > 0 else (2 if ro2 else 0)
-    )
-    declared = (cfg.invariants or {}).get("D_type")
-    if declared == "first" or (declared is None and g_fixed > 0):
-        out.extend(_order4_type_violations("first", k, n_points, b, h, g_fixed, 0))
-    elif declared == "second" or (declared is None and g_inv > 0):
-        out.extend(_order4_type_violations("second", k, n_points, b, h, g_inv, n2_second))
-    else:
-        # all curves rational: the type is ambiguous, accept either shape
-        v_first = _order4_type_violations("first", k, n_points, b, h, 0, 0)
-        v_second = _order4_type_violations("second", k, n_points, b, h, 0, n2_second)
-        if v_first and v_second:
-            out.extend(v_first)
-
-
-def _validate_order6_shape(cfg: K3Config, out: list):
-    rec6, rec3 = cfg.record(6), cfg.record(3)
-    where = "order6"
-    g_d = rec6.max_genus()
-    if g_d > 1:
-        out.append(_err(where, f"the top fixed-curve genus is at most 1, got {g_d}"))
-    p25 = sum(p.count for p in rec6.points
-              if sorted(t % 6 for t in p.type_exponents) == [2, 5])
-    singles = sum(p.count * p.orbit_size for p in rec3.points if p.orbit_size == 1)
-    pairs = sum(p.count * p.orbit_size for p in rec3.points if p.orbit_size == 2)
-    if singles != p25:
-        out.append(_err(
-            where,
-            "isolated square-fixed points must be the (2,5) points: "
-            f"n = p25 + 2n' fails ({singles + pairs} != {p25} + {pairs})",
-        ))
-
-
-def validate(cfg: K3Config, strictness: str = "engine") -> list[Violation]:
-    """Check a configuration; returns findings instead of raising.
-
-    ``engine`` strictness checks the type invariants only.  ``closed_form``
-    additionally checks the order-specific shape relations assumed by the
-    closed formulas.
+    The named constructors and the raw-document parser call this once on
+    every configuration they build, and everything downstream trusts the
+    result.  Call it on a configuration built by hand before handing that
+    to the engine.
     """
-    if strictness not in ("engine", "closed_form"):
-        raise ValueError(f"unknown strictness {strictness!r}")
     out: list[Violation] = []
     _validate_eigenspace(cfg, out)
     _validate_records(cfg, out)
-    if strictness == "closed_form" and not out:
-        if cfg.n == 3:
-            _validate_order3_shape(cfg, out)
-        elif cfg.n == 4:
-            _validate_order4_shape(cfg, out)
-        elif cfg.n == 6:
-            _validate_order6_shape(cfg, out)
     return out
 
 
-def _raise_on_errors(violations):
-    errors = [v for v in violations if v.level == "error"]
-    if errors:
-        raise InvariantError(errors)
+def _raise_on(violations):
+    if violations:
+        raise InvariantError(violations)
+
+
+def order4_relations(k: int, b: int, n1: int, n2: int, g_D: int, D_type: str) -> list[Violation]:
+    """The isolated-point and invariant-curve counts that the type of D forces.
+
+    With h = k - g(D) for the first type and h = k for the second, the
+    isolated points number n1 + n2 = 2h + 4, and b = n1/2 (first type, where
+    n2 = 0) or b = n1/2 + 1 (second type).
+    """
+    n_points = n1 + n2
+    v = []
+    if D_type == "first":
+        h = k - g_D
+        if n_points != 2 * h + 4:
+            v.append(Violation("order4", f"first type needs n1 = 2h+4 ({n_points} != 2*{h}+4)"))
+        if 2 * b != n_points:
+            v.append(Violation("order4", f"first type needs b = n1/2 ({b} != {n_points}/2)"))
+    else:
+        h = k
+        if n_points != 2 * h + 4:
+            v.append(Violation("order4", "second type needs n1+n2 = 2h+4 "
+                                         f"({n_points} != 2*{h}+4)"))
+        if 2 * (b - 1) != n1:
+            v.append(Violation("order4", "second type needs b = n1/2 + 1 "
+                                         f"({b} != ({n_points} - {n2})/2 + 1)"))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +425,8 @@ _POINT_TYPE_6 = {"p25": (2, 5), "p34": (3, 4), "square": (4, 4)}
 def _int_args(where, **kwargs):
     bad = [f"{k}={v}" for k, v in kwargs.items() if not isinstance(v, int) or v < 0]
     if bad:
-        raise InvariantError([_err(where, f"counts and genera must be nonnegative integers: "
-                                          f"{', '.join(bad)}")])
+        raise InvariantError([Violation(where, f"counts and genera must be nonnegative "
+                                               f"integers: {', '.join(bad)}")])
 
 
 def _curves(*specs) -> tuple[CurveOrbit, ...]:
@@ -525,7 +451,7 @@ def from_invariants_order2(r: int, curve_genera) -> K3Config:
         2, dims, (SubgroupFixedRecord(2, curves),),
         invariants={"r": r, "curve_genera": list(genera)},
     )
-    _raise_on_errors(validate(cfg, "closed_form"))
+    _raise_on(validate(cfg))
     return cfg
 
 
@@ -533,9 +459,11 @@ def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K
     """Order 3: k fixed curves (top genus g_C) and n isolated fixed points."""
     _int_args("order3", r=r, m=m, k=k, n_points=n_points, g_C=g_C)
     if r + 2 * m != K3_H2_DIM:
-        raise InvariantError([_err("order3", f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}")])
+        raise InvariantError([Violation("order3",
+                                        f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}")])
     if k == 0 and g_C > 0:
-        raise InvariantError([_err("order3", "a positive top genus needs at least one curve")])
+        raise InvariantError([Violation("order3",
+                                        "a positive top genus needs at least one curve")])
     curves = _curves(
         {"genus": g_C, "count": 1 if k else 0},
         {"genus": 0, "count": max(k - 1, 0)},
@@ -545,7 +473,11 @@ def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K
         3, EigenspaceDims(3, (r, m, m)), (SubgroupFixedRecord(3, curves, points),),
         invariants={"r": r, "m": m, "k": k, "n_points": n_points, "g_C": g_C},
     )
-    _raise_on_errors(validate(cfg, "closed_form"))
+    violations = validate(cfg)
+    if not violations and k + n_points == 0:
+        violations = [Violation("subgroup[3]",
+                                "an order-3 action always has a nonempty fixed locus")]
+    _raise_on(violations)
     return cfg
 
 
@@ -562,24 +494,25 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
     _int_args("order4", r=r, m=m, k=k, a=a, b=b, n1=n1, n2=n2, g_D=g_D)
     v: list[Violation] = []
     if D_type not in ("first", "second"):
-        raise InvariantError([_err("order4", f"D_type must be 'first' or 'second', got {D_type!r}")])
+        raise InvariantError([Violation("order4", "D_type must be 'first' or 'second', "
+                                                  f"got {D_type!r}")])
     d2 = K3_H2_DIM - r - 2 * m
     if d2 < 0:
-        v.append(_err("order4", f"need r + 2m <= {K3_H2_DIM}"))
+        v.append(Violation("order4", f"need r + 2m <= {K3_H2_DIM}"))
     if D_type == "first":
         if k < 1:
-            v.append(_err("order4", "first type needs at least one pointwise-fixed curve"))
+            v.append(Violation("order4", "first type needs at least one pointwise-fixed curve"))
         if n2 != 0:
-            v.append(_err("order4", "first type forces n2 = 0"))
+            v.append(Violation("order4", "first type forces n2 = 0"))
         d_quot = g_D
     else:
         if b < 1:
-            v.append(_err("order4", "second type needs at least one invariant curve"))
+            v.append(Violation("order4", "second type needs at least one invariant curve"))
         if n2 % 2:
-            v.append(_err("order4", "n2 must be even"))
+            v.append(Violation("order4", "n2 must be even"))
         if n2 > 2 + 2 * g_D or (2 + 2 * g_D - n2) % 4:
-            v.append(_err("order4", "the residual involution on D needs "
-                                    "n2 <= 2 + 2g(D) and n2 = 2 + 2g(D) mod 4"))
+            v.append(Violation("order4", "the residual involution on D needs "
+                                         "n2 <= 2 + 2g(D) and n2 = 2 + 2g(D) mod 4"))
         d_quot = (2 + 2 * g_D - n2) // 4 if not v else 0
     if v:
         raise InvariantError(v)
@@ -609,7 +542,7 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
         invariants={"r": r, "m": m, "k": k, "a": a, "b": b, "n1": n1, "n2": n2,
                     "g_D": g_D, "D_type": D_type},
     )
-    _raise_on_errors(validate(cfg, "closed_form"))
+    _raise_on(validate(cfg) or order4_relations(k, b, n1, n2, g_D, D_type))
     return cfg
 
 
@@ -631,34 +564,35 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
     v: list[Violation] = []
     where = "order6"
     if r + 5 * m != K3_H2_DIM:
-        v.append(_err(where, f"need r + 5m = {K3_H2_DIM}, got {r} + 5*{m}"))
+        v.append(Violation(where, f"need r + 5m = {K3_H2_DIM}, got {r} + 5*{m}"))
     if g_D not in (0, 1):
-        v.append(_err(where, f"g(D) must be 0 or 1, got {g_D}"))
+        v.append(Violation(where, f"g(D) must be 0 or 1, got {g_D}"))
     c2 = k - l - 2 * b
     c3 = N - l - 3 * a
     if c2 < 0:
-        v.append(_err(where, f"need k >= l + 2b ({k} < {l} + 2*{b})"))
+        v.append(Violation(where, f"need k >= l + 2b ({k} < {l} + 2*{b})"))
     if c3 < 0:
-        v.append(_err(where, f"need N >= l + 3a ({N} < {l} + 3*{a})"))
+        v.append(Violation(where, f"need N >= l + 3a ({N} < {l} + 3*{a})"))
     if g_D == 1:
         if l < 1:
-            v.append(_err(where, "g(D) = 1 needs a curve fixed by the full action"))
+            v.append(Violation(where, "g(D) = 1 needs a curve fixed by the full action"))
         if (g_G, g_G_quot, g_F1, g_F1_quot) != (1, 1, 1, 1):
-            v.append(_err(where, "g(D) = 1 forces D = G = F1, all of genus 1 with "
-                                 "trivial residual action"))
+            v.append(Violation(where, "g(D) = 1 forces D = G = F1, all of genus 1 with "
+                                      "trivial residual action"))
     else:
         if g_F1 < g_F2:
-            v.append(_err(where, "F1 carries the higher genus"))
+            v.append(Violation(where, "F1 carries the higher genus"))
     if g_F2 > 0 and (g_F1 != 1 or g_F2 != 1):
-        v.append(_err(where, "two positive-genus curves fixed by an involution "
-                             "are both elliptic"))
+        v.append(Violation(where, "two positive-genus curves fixed by an involution "
+                                  "are both elliptic"))
     if g_G_quot > g_G or g_F1_quot > g_F1 or g_F2_quot > g_F2:
-        v.append(_err(where, "quotient genera cannot exceed the genera"))
+        v.append(Violation(where, "quotient genera cannot exceed the genera"))
     if g_D == 0 and g_G > 0:
         if c2 < 1:
-            v.append(_err(where, "a positive g(G) needs an invariant curve fixed by the square"))
+            v.append(Violation(
+                where, "a positive g(G) needs an invariant curve fixed by the square"))
         if 2 + 2 * g_G - 4 * g_G_quot < 0:
-            v.append(_err(where, "no involution realizes this (g(G), g(G/.)) pair"))
+            v.append(Violation(where, "no involution realizes this (g(G), g(G/.)) pair"))
     placed_f = []
     if g_D == 0 and g_F1 > 0:
         placed_f.append((g_F1, g_F1_quot))
@@ -666,9 +600,10 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
         placed_f.append((g_F2, g_F2_quot))
     for g, gq in placed_f:
         if 2 + g - 3 * gq < 0:
-            v.append(_err(where, "no residual order-3 action realizes this genus pair"))
+            v.append(Violation(where, "no residual order-3 action realizes this genus pair"))
     if len(placed_f) > c3:
-        v.append(_err(where, "not enough invariant cube-fixed curves to carry the genera"))
+        v.append(Violation(
+            where, "not enough invariant cube-fixed curves to carry the genera"))
     if v:
         raise InvariantError(v)
 
@@ -714,5 +649,5 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
                     "g_G": g_G, "g_G_quot": g_G_quot, "g_F1": g_F1,
                     "g_F1_quot": g_F1_quot, "g_F2": g_F2, "g_F2_quot": g_F2_quot},
     )
-    _raise_on_errors(validate(cfg, "closed_form"))
+    _raise_on(validate(cfg))
     return cfg

@@ -12,9 +12,7 @@ from math import gcd
 import pytest
 
 from bvhodge import (
-    classic_bv,
     cli,
-    corollary_order6,
     crosscheck,
     euler_characteristic,
     euler_fixed_set,
@@ -27,6 +25,7 @@ from bvhodge import (
     sector_contribution,
 )
 from generators import samples
+from oracles import classic_bv, corollary_order6
 
 SUITE_SIZE = 500
 ORDERS = (2, 3, 4, 6)

@@ -67,6 +67,27 @@ def test_parse_raw_document():
     assert cfg.record(2).curve_count() == 7
 
 
+def test_parse_validates_raw_documents():
+    doc = {"order": 2, "raw": {"eigenspace_dims": [22, 0]}}
+    with pytest.raises(cli.InvariantError, match=r"d\[1\] must be at least 2"):
+        cli.parse_config(doc)
+
+
+@pytest.mark.parametrize("value", [5, None, True, 1.5, "x", {"genus": 0}])
+@pytest.mark.parametrize("field", ["curves", "points"])
+def test_parse_raw_record_fields_must_be_lists(field, value):
+    doc = {"order": 2, "raw": {"eigenspace_dims": [10, 12],
+                               "subgroups": [{"order": 2, field: value}]}}
+    with pytest.raises(cli.SchemaError, match=rf"raw\.subgroups\[0\]\.{field}: expected a list"):
+        cli.parse_config(doc)
+
+
+@pytest.mark.parametrize("raw", [5, None, [], "raw"])
+def test_parse_raw_must_be_an_object(raw):
+    with pytest.raises(cli.SchemaError, match="raw: expected an object"):
+        cli.parse_config({"order": 2, "raw": raw})
+
+
 def test_parse_rejects_non_integer():
     doc = {"order": 2, "invariants": {"r": 9.5, "curve_genera": []}}
     with pytest.raises(cli.SchemaError, match="expected an integer"):
@@ -120,6 +141,13 @@ def test_validation_failure_reports_violations():
     payload = json.loads(rendered)
     assert payload["engine"] is None
     assert any("d[0]" in v for v in payload["violations"])
+
+
+def test_deeply_nested_document_is_a_schema_error():
+    for text in ("[" * 100_000 + "]" * 100_000,
+                 '{"order": 2, "invariants": {"r": ' + "[" * 100_000 + "]" * 100_000 + "}}"):
+        with pytest.raises(cli.SchemaError, match="nested too deeply"):
+            cli.run_text(text)
 
 
 # --- main() ---------------------------------------------------------------------

