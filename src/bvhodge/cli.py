@@ -295,12 +295,17 @@ def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, in
     """Full pipeline from document text to (rendered report, exit code).
 
     Invalid JSON raises :class:`json.JSONDecodeError` and a malformed
-    document, including one nested too deeply to parse, :class:`SchemaError`.
+    document, including one nested too deeply to parse or with an integer
+    too long to convert, :class:`SchemaError`.
     """
     try:
         doc = json.loads(text)
     except RecursionError:
         raise SchemaError("document nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # Python's limit on the digits of an integer string
+        raise SchemaError("integer field too long") from None
     try:
         cfg = parse_config(doc)
     except InvariantError as exc:

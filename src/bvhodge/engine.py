@@ -1,17 +1,29 @@
 """Twisted-sector cohomology engine for the (K3 x E)/C_n quotients.
 
-The untwisted part is the character-0 slice of the character-refined
-Kuenneth product of the two eigenspace tables.  For each nontrivial power
-of the generator, the fixed locus is a disjoint union of products (curve
-or point on the K3 side) x (fixed point on the elliptic side); the group
-permutes these components and acts on their cohomology through the
-residual data stored in the configuration.  Every invariant dimension is
-an invariant pairing of two character vectors, and every component
-carries an integral age that shifts its contribution diagonally.
+Every number is a plain integer sum of invariant pairings of character
+tuples, written straight into 4x4 tables; one :class:`HodgeDiamond` is
+built for the untwisted part and one for the result, which is checked.
+
+The untwisted part pairs the five eigenspace entries (p, q, characters)
+of the K3 surface directly with the four of the elliptic curve, each of
+which holds a single character k: the invariants of a product entry are
+the multiplicity of character -k in the K3 entry.  This is the character-0
+slice of the character-refined Kuenneth product, which the tests keep as
+an independent oracle (:func:`bvhodge.hodge.kunneth_character_product`).
+
+For each nontrivial power of the generator, the fixed locus is a disjoint
+union of products (curve or point on the K3 side) x (fixed point on the
+elliptic side); the group permutes these components and acts on their
+cohomology through the residual data stored in the configuration.  The
+invariants of a component class are its character counts paired with
+per-order weights, and its integral age shifts them diagonally.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
 built by hand is checked with :func:`bvhodge.fixed_locus.validate` first.
+Past that, the engine only adds, multiplies and compares the numbers of
+the data, with one checked exact division in the pair sum; it converts
+none of them and uses no floats.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from typing import Optional, Union
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
 from .cyclic import GroupElement, LocalAction, age, power_transport
 from .fixed_locus import (
+    SUPPORTED_ORDERS,
     CurveOrbit,
     InvariantError,
     K3Config,
@@ -33,24 +46,87 @@ from .fixed_locus import (
     euler_fixed_set,
     validate,
 )
-from .hodge import (
-    BigradedCharacterTable,
-    CharacterVector,
-    HodgeDiamond,
-    add_shifted,
-    euler_characteristic,
-    invariant_diamond,
-    invariant_pairing,
-    kunneth_character_product,
-)
+from .hodge import CharacterVector, HodgeDiamond, euler_characteristic
+
+Table = tuple[tuple[int, ...], ...]
 
 
-def k3_character_table(cfg: K3Config) -> BigradedCharacterTable:
-    """Eigenspace table of H^0 + H^2 + H^4 of the K3 surface.
+def _frozen(rows) -> Table:
+    return tuple(map(tuple, rows))
 
-    H^0 and H^4 are invariant; the period sits in character 1 and its
-    conjugate in character n-1; the (1,1) part carries the remaining
-    eigenspace dimensions.
+
+# ---------------------------------------------------------------------------
+# per-order constants, computed once at import
+
+
+def _delta(n: int, j: int) -> tuple[int, ...]:
+    return CharacterVector.delta(n, j).c
+
+
+#: (p, q, characters) of H^0, H^4, H^{2,0} and H^{0,2} of the K3 surface:
+#: the period sits in character 1 and its conjugate in character n-1
+_K3_FRAME = {n: ((0, 0, _delta(n, 0)), (2, 2, _delta(n, 0)),
+                 (2, 0, _delta(n, 1)), (0, 2, _delta(n, n - 1)))
+             for n in SUPPORTED_ORDERS}
+
+#: (p, q, character) of the elliptic curve, one character per entry: its
+#: 1-form sits in character n-1
+_ELLIPTIC = {n: ((0, 0, 0), (1, 1, 0), (1, 0, n - 1), (0, 1, 1)) for n in SUPPORTED_ORDERS}
+
+
+def _sector_weights(n: int) -> dict:
+    """Invariant counts per character, for every subgroup order d and orbit size s.
+
+    ``w[j]`` is the dimension of the invariants of (the permutation
+    representation of an orbit of s members) x (character j) x (the fixed
+    points of the subgroup of order d on E).  A class of s-member orbits
+    whose members carry the characters ``chars`` then has
+    ``sum_j chars[j] * w[j]`` invariants.  Permutation characters are real,
+    so the conjugate characters give the same count.
+    """
+    fixture = elliptic_fixture(n)
+    out = {}
+    for d, _ in fixture.orbits:
+        e_vec = fixture.char_vector(d).c
+        for s in (s for s in range(1, n + 1) if n % s == 0):
+            perm = CharacterVector.orbit(n, s).c
+            # character i of the orbit times character j pairs with -(i + j) on E
+            out[d, s] = tuple(sum(perm[i] * e_vec[(-i - j) % n] for i in range(n))
+                              for j in range(n))
+    return out
+
+
+def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """(c, weight) pairs of the pair sum, c running over the nontrivial classes.
+
+    The pair (j, k) contributes e(Fix g^c) times the number of fixed points
+    of g^c on E, with c = gcd(j, k, n); the weight of c adds those point
+    counts over its pairs.  e(E) = 0 kills the identity class.
+    """
+    fixture = elliptic_fixture(n)
+    weights: dict[int, int] = {}
+    for j in range(n):
+        for k in range(n):
+            c = gcd(j, k, n) % n
+            if c:
+                weights[c] = weights.get(c, 0) + fixture.point_count(n // c)
+    return tuple(sorted(weights.items()))
+
+
+_SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
+_PAIR_CLASSES = {n: _pair_classes(n) for n in SUPPORTED_ORDERS}
+
+
+# ---------------------------------------------------------------------------
+# the untwisted part and the twisted sectors
+
+
+def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
+    """Invariant part of the cohomology of the product, as a threefold diamond.
+
+    The (1,1) part of the K3 surface carries the eigenspace dimensions less
+    the period and its conjugate; eigenspaces too small to hold them raise
+    :class:`InvariantError`.
     """
     n = cfg.n
     dims = list(cfg.eigenspace.dims)
@@ -58,44 +134,31 @@ def k3_character_table(cfg: K3Config) -> BigradedCharacterTable:
     dims[(n - 1) % n] -= 1
     if min(dims) < 0:
         raise InvariantError(validate(cfg))
-    table = BigradedCharacterTable.from_entries(n, 2, {
-        (0, 0): CharacterVector.delta(n, 0),
-        (2, 2): CharacterVector.delta(n, 0),
-        (2, 0): CharacterVector.delta(n, 1),
-        (0, 2): CharacterVector.delta(n, n - 1),
-        (1, 1): CharacterVector(n, tuple(dims)),
-    })
-    assert table.total() == 24
-    return table
-
-
-def elliptic_character_table(n: int) -> BigradedCharacterTable:
-    """Eigenspace table of the elliptic curve: the 1-form sits in character n-1."""
-    table = BigradedCharacterTable.from_entries(n, 1, {
-        (0, 0): CharacterVector.delta(n, 0),
-        (1, 1): CharacterVector.delta(n, 0),
-        (1, 0): CharacterVector.delta(n, n - 1),
-        (0, 1): CharacterVector.delta(n, 1),
-    })
-    assert table.total() == 4
-    return table
-
-
-def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
-    """Invariant part of the cohomology of the product, as a threefold diamond."""
-    product = kunneth_character_product(k3_character_table(cfg), elliptic_character_table(cfg.n))
-    return invariant_diamond(product)
+    table = [[0] * 4 for _ in range(4)]
+    for p1, q1, chars in _K3_FRAME[n] + ((1, 1, dims),):
+        for p2, q2, k in _ELLIPTIC[n]:
+            # paired with the single character k, only character -k is invariant
+            table[p1 + p2][q1 + q2] += chars[-k]
+    return HodgeDiamond(3, _frozen(table))
 
 
 @dataclass(frozen=True)
 class SectorComponent:
-    """One class of components of a twisted sector, with its age and increment."""
+    """One class of components of a twisted sector, with its age and 4x4 table.
+
+    ``table`` holds what the class adds to the threefold diamond, ``count``
+    times over and already shifted by the age.
+    """
 
     kind: str  # "curve" or "point"
     source: Union[CurveOrbit, PointOrbit]
     local: LocalAction
     age: int
-    increment: HodgeDiamond
+    table: Table
+
+    @property
+    def increment(self) -> HodgeDiamond:
+        return HodgeDiamond(3, self.table)
 
 
 @dataclass(frozen=True)
@@ -104,15 +167,31 @@ class SectorContribution:
 
     element: GroupElement
     components: tuple[SectorComponent, ...]
-    increment: HodgeDiamond
+    table: Table
+
+    @property
+    def increment(self) -> HodgeDiamond:
+        return HodgeDiamond(3, self.table)
 
     @property
     def h11(self) -> int:
-        return self.increment.entry(1, 1)
+        return self.table[1][1]
 
     @property
     def h21(self) -> int:
-        return self.increment.entry(2, 1)
+        return self.table[2][1]
+
+
+def _placed(total: list, a: int, count, entries) -> Table:
+    """4x4 table of ``count`` times each (p, q, value) entry at (p + a, q + a).
+
+    The same values are added into ``total``.
+    """
+    table = [[0] * 4 for _ in range(4)]
+    for p, q, v in entries:
+        table[p + a][q + a] = count * v
+        total[p + a][q + a] += count * v
+    return _frozen(table)
 
 
 def sector_contribution(cfg: K3Config, j: Union[int, GroupElement]) -> SectorContribution:
@@ -128,43 +207,33 @@ def sector_contribution(cfg: K3Config, j: Union[int, GroupElement]) -> SectorCon
         raise ValueError("the untwisted part is not a sector; use untwisted_diamond")
     c = gcd(r, n)
     u = r // c
-    record = cfg.record(n // c)
-    e_vec = elliptic_fixture(n).char_vector(n // c)
+    d = n // c
+    weights = _SECTOR_WEIGHTS[n]
     e_exp = elliptic_sector_exponent(n, r)
 
+    total = [[0] * 4 for _ in range(4)]
     components = []
-    total = HodgeDiamond.zero(3)
+    record = cfg.record(d)
+    # every fixed curve meets the sector with the same local action
+    curve_local = LocalAction(n, (0, r, e_exp))
+    curve_age = _integral_age(curve_local)
+    assert curve_age == 1, "a fixed curve always has age 1 in these quotients"
     for curve in record.curves:
-        local = LocalAction(n, (0, r, e_exp))
-        a = _integral_age(local)
-        assert a == 1, "a fixed curve always has age 1 in these quotients"
-        perm = CharacterVector.orbit(n, curve.orbit_size)
-        forms = perm.convolve(curve_character_dims(curve, n))
-        inc = HodgeDiamond.from_entries(1, {
-            (0, 0): invariant_pairing(perm, e_vec),
-            (1, 0): invariant_pairing(forms, e_vec),
-            (0, 1): invariant_pairing(forms.conjugate(), e_vec),
-            (1, 1): invariant_pairing(perm, e_vec),
-        })
-        shifted = _scaled(add_shifted(HodgeDiamond.zero(3), inc, a), curve.count)
-        total = total + shifted
-        components.append(SectorComponent("curve", curve, local, a, shifted))
+        w = weights[d, curve.orbit_size]
+        forms = sum(m * x for m, x in zip(curve_character_dims(curve, n).c, w))
+        entries = ((0, 0, w[0]), (1, 0, forms), (0, 1, forms), (1, 1, w[0]))
+        components.append(SectorComponent("curve", curve, curve_local, curve_age,
+                                          _placed(total, curve_age, curve.count, entries)))
     for point in record.points:
         s_local = power_transport(LocalAction(n, point.type_exponents), u)
         local = LocalAction(n, s_local.exponents + (e_exp,))
         a = _integral_age(local)
         if a not in (1, 2):
             raise ValueError(f"point sector age {a} outside {{1, 2}}: non-crepant local data")
-        perm = CharacterVector.orbit(n, point.orbit_size)
-        inc = HodgeDiamond.from_entries(0, {(0, 0): invariant_pairing(perm, e_vec)})
-        shifted = _scaled(add_shifted(HodgeDiamond.zero(3), inc, a), point.count)
-        total = total + shifted
-        components.append(SectorComponent("point", point, local, a, shifted))
-    return SectorContribution(GroupElement(n, r), tuple(components), total)
-
-
-def _scaled(diamond: HodgeDiamond, count: int) -> HodgeDiamond:
-    return HodgeDiamond(diamond.d, tuple(tuple(count * v for v in row) for row in diamond.table))
+        w = weights[d, point.orbit_size]
+        components.append(SectorComponent("point", point, local, a,
+                                          _placed(total, a, point.count, ((0, 0, w[0]),))))
+    return SectorContribution(GroupElement(n, r), tuple(components), _frozen(total))
 
 
 def _integral_age(local: LocalAction) -> int:
@@ -184,9 +253,12 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
     internal inconsistency and is raised, not returned.
     """
-    diamond = untwisted_diamond(cfg)
+    table = [list(row) for row in untwisted_diamond(cfg).table]
     for r in range(1, cfg.n):
-        diamond = diamond + sector_contribution(cfg, r).increment
+        for row, added in zip(table, sector_contribution(cfg, r).table):
+            for q, v in enumerate(added):
+                row[q] += v
+    diamond = HodgeDiamond(3, _frozen(table))
     frame = [
         diamond.entry(0, 0) == 1, diamond.entry(3, 3) == 1,
         diamond.entry(3, 0) == 1, diamond.entry(0, 3) == 1,
@@ -202,18 +274,12 @@ def orbifold_euler_pairsum(cfg: K3Config) -> int:
     """Group-averaged Euler characteristic over commuting pairs.
 
     (1/n) * sum over all pairs (j, k) of e of the common fixed set, which
-    only depends on gcd(j, k, n).  The division is checked exact; a
-    remainder would mean corrupted input and raises.
+    only depends on gcd(j, k, n), so each class is evaluated once and
+    weighted by its pairs.  The division is checked exact; a remainder would
+    mean corrupted input and raises.
     """
     n = cfg.n
-    fixture = elliptic_fixture(n)
-    total = 0
-    for j in range(n):
-        for k in range(n):
-            c = gcd(j, k, n) % n
-            if c == 0:
-                continue  # e(E) = 0 kills the identity class
-            total += euler_fixed_set(cfg, c) * fixture.point_count(n // c)
+    total = sum(euler_fixed_set(cfg, c) * weight for c, weight in _PAIR_CLASSES[n])
     if total % n:
         raise RuntimeError(f"pair sum {total} not divisible by {n}: corrupted input")
     return total // n

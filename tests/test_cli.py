@@ -150,6 +150,19 @@ def test_deeply_nested_document_is_a_schema_error():
             cli.run_text(text)
 
 
+def test_over_long_integer_is_a_schema_error(capsys, monkeypatch):
+    # more digits than Python converts from a string: json.loads raises a
+    # plain ValueError, which must not escape as a traceback
+    import io
+    text = '{"order": 2, "invariants": {"r": ' + "9" * 5000 + ', "curve_genera": []}}'
+    with pytest.raises(cli.SchemaError, match="integer field too long"):
+        cli.run_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys)
+    assert code == cli.EXIT_PARSE and out == ""
+    assert "integer field too long" in err
+
+
 # --- main() ---------------------------------------------------------------------
 
 def test_main_reads_stdin(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The twisted-sector engine against hand-computed and closed-form values."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -10,6 +11,7 @@ from bvhodge import (
     K3Config,
     PointOrbit,
     SubgroupFixedRecord,
+    cli,
     crosscheck,
     euler_characteristic,
     euler_fixed_set,
@@ -20,9 +22,13 @@ from bvhodge import (
     from_invariants_order6,
     orbifold_euler_pairsum,
     orbifold_hodge_diamond,
+    invariant_diamond,
+    kunneth_character_product,
     sector_contribution,
     untwisted_diamond,
 )
+from generators import samples
+from test_hodge_algebra import e_table, k3_table
 
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
 ORDER6_GD1 = dict(r=2, m=4, l=1, k=1, N=1, a=0, b=0, n_prime=0, p25=0, p34=0,
@@ -50,6 +56,30 @@ def test_untwisted_order2_includes_period_term():
     # h^{2,1} = (m - 2) + 1: the (1,1) eigenpart plus the (2,0) x (0,1) class
     diamond = untwisted_diamond(from_invariants_order2(9, [3, 0]))
     assert diamond.entry(2, 1) == 12
+
+
+def _exit0_fixture_configs():
+    for name in cli.fixture_names():
+        text = cli.load_fixture_text(name)
+        try:
+            if cli.run_text(text)[1] != cli.EXIT_OK:
+                continue
+        except (json.JSONDecodeError, cli.SchemaError):
+            continue
+        yield cli.parse_config(json.loads(text))
+
+
+def test_untwisted_matches_kunneth_oracle():
+    # the character-refined Kuenneth product of the two eigenspace tables,
+    # sliced at character 0, is an independent route to the untwisted part
+    configs = [s.config for order in (2, 3, 4, 6) for s in samples(order, 500)]
+    fixtures = list(_exit0_fixture_configs())
+    assert len(fixtures) == 5
+    for cfg in configs + fixtures:
+        n = cfg.n
+        oracle = invariant_diamond(kunneth_character_product(
+            k3_table(n, cfg.eigenspace.dims), e_table(n)))
+        assert untwisted_diamond(cfg) == oracle, (n, cfg.eigenspace.dims)
 
 
 def test_untwisted_rejects_degenerate_eigenspaces():

@@ -91,6 +91,19 @@ def named_documents(draw):
 
 
 @st.composite
+def long_integer_texts(draw):
+    """A document with one integer longer than Python converts from a string."""
+    digits = "9" * draw(st.integers(4_301, 6_000))
+    n = draw(st.sampled_from(ORDERS))
+    key = draw(st.sampled_from(_NAMED_KEYS[n]))
+    return draw(st.sampled_from((
+        '{"order": %d, "invariants": {"%s": %s}}' % (n, key, digits),
+        '{"order": %d, "raw": {"eigenspace_dims": [%s]}}' % (n, digits),
+        '{"order": %s}' % digits,
+    )))
+
+
+@st.composite
 def nested_texts(draw):
     """Valid JSON nested deeper than the parser can descend."""
     depth = draw(st.integers(3_000, 20_000))
@@ -129,6 +142,12 @@ ODD_ORDER3_SPLIT = {"order": 6, "raw": {
                               "subgroups": [{"order": 2, "points": None}]}})
 def test_documents_end_in_an_exit_code(doc):
     _assert_exit_code(json.dumps(doc))
+
+
+@settings(max_examples=10, deadline=None)
+@given(long_integer_texts())
+def test_over_long_integers_end_in_an_exit_code(text):
+    _assert_exit_code(text)
 
 
 @settings(max_examples=10, deadline=None)
