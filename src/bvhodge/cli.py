@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .engine import CrosscheckReport, crosscheck, orbifold_euler_pairsum, orbifold_hodge_diamond
@@ -28,7 +29,7 @@ from .fixed_locus import (
     from_invariants_order6,
     validate,
 )
-from .hodge import HodgeDiamond
+from .hodge import pictogram
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -62,9 +63,16 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+#: at most 1000 digits: everything derived and printed sums products of at most three
+#: input integers with small constants, so it stays below Python's 4300-digit str limit
+_INT_BOUND = 10 ** 1000
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {value!r}")
+    if not -_INT_BOUND < value < _INT_BOUND:
+        raise SchemaError(f"{path}: integer field too long")
     return value
 
 
@@ -223,8 +231,26 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> RunReport:
     )
 
 
-def _pictogram(table) -> str:
-    return HodgeDiamond(len(table) - 1, table).pictogram()
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value, byte for byte.
+
+    The stdlib indents only in pure Python; strings, ints and ``None`` are written in place.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": "
+            + (write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner))
+            for k, v in sorted(value.items())) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(
+            write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner)
+            for v in value) + indent + "]"
+    write = _SCALARS.get(type(value))
+    return write(value) if write else json.dumps(value)  # bools, floats, {} and []
 
 
 def emit(report: RunReport, fmt: str = "text") -> str:
@@ -246,7 +272,7 @@ def emit(report: RunReport, fmt: str = "text") -> str:
                         for n, s, l, r in report.checks]),
             "exit_code": report.exit_code,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -257,7 +283,7 @@ def emit(report: RunReport, fmt: str = "text") -> str:
     if report.diamond is not None:
         lines.append("")
         lines.append("Hodge diamond of the crepant resolution:")
-        lines.extend("  " + row for row in _pictogram(report.diamond).splitlines())
+        lines.extend("  " + row for row in pictogram(report.diamond).splitlines())
         lines.append("")
         h11, h21, e = report.engine
         lines.append(f"engine:      h^{{1,1}} = {h11}  h^{{2,1}} = {h21}  e = {e}")

@@ -16,7 +16,9 @@ union of products (curve or point on the K3 side) x (fixed point on the
 elliptic side); the group permutes these components and acts on their
 cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
-per-order weights, and its integral age shifts them diagonally.
+per-order weights, and its integral age shifts them diagonally.  Local
+actions and ages depend only on residues and are computed once per residue;
+a component keeps its (p, q, value) entries and builds its table when read.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
@@ -49,10 +51,6 @@ from .fixed_locus import (
 from .hodge import CharacterVector, HodgeDiamond, euler_characteristic
 
 Table = tuple[tuple[int, ...], ...]
-
-
-def _frozen(rows) -> Table:
-    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +137,67 @@ def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
         for p2, q2, k in _ELLIPTIC[n]:
             # paired with the single character k, only character -k is invariant
             table[p1 + p2][q1 + q2] += chars[-k]
-    return HodgeDiamond(3, _frozen(table))
+    return HodgeDiamond(3, table)
+
+
+def _integral_age(local: LocalAction) -> int:
+    a = age(local)
+    if a.denominator != 1:
+        raise ValueError(
+            f"non-integral age {a} for local exponents {local.exponents} mod {local.n}: "
+            "non-crepant local data"
+        )
+    return int(a)
+
+
+#: local action of every fixed curve in the sector of power r, per (n, r)
+_CURVE_LOCAL = {(n, r): LocalAction(n, (0, r, elliptic_sector_exponent(n, r)))
+                for n in SUPPORTED_ORDERS for r in range(1, n)}
+assert all(_integral_age(local) == 1 for local in _CURVE_LOCAL.values()), \
+    "a fixed curve always has age 1 in these quotients"
+
+#: (n, r, t1 mod n, t2 mod n) -> (local action, age) of a point class in the sector
+#: of power r, filled on first use (at most 250 keys); errors are never stored
+_POINT_LOCAL: dict = {}
+
+
+def _point_local(n: int, r: int, t1: int, t2: int) -> tuple[LocalAction, int]:
+    key = (n, r, t1 % n, t2 % n)
+    if key not in _POINT_LOCAL:
+        s_local = power_transport(LocalAction(n, key[2:]), r // gcd(r, n))
+        local = LocalAction(n, s_local.exponents + (elliptic_sector_exponent(n, r),))
+        a = _integral_age(local)
+        if a not in (1, 2):
+            raise ValueError(f"point sector age {a} outside {{1, 2}}: non-crepant local data")
+        _POINT_LOCAL[key] = local, a
+    return _POINT_LOCAL[key]
+
+
+def _table(entries) -> Table:
+    """4x4 table holding at each (p, q) the sum of the values of the (p, q, value) entries."""
+    table = [[0] * 4 for _ in range(4)]
+    for p, q, v in entries:
+        table[p][q] += v
+    return tuple(map(tuple, table))
 
 
 @dataclass(frozen=True)
 class SectorComponent:
-    """One class of components of a twisted sector, with its age and 4x4 table.
+    """One class of components of a twisted sector, with its age.
 
-    ``table`` holds what the class adds to the threefold diamond, ``count``
-    times over and already shifted by the age.
+    ``entries`` are the (p, q, value) triples the class adds to the diamond,
+    ``count`` times over and shifted by the age; ``table`` is built on read.
     """
 
     kind: str  # "curve" or "point"
     source: Union[CurveOrbit, PointOrbit]
     local: LocalAction
     age: int
-    table: Table
+    entries: tuple[tuple[int, int, int], ...]
+
+    @property
+    def table(self) -> Table:
+        return _table(self.entries)
 
     @property
     def increment(self) -> HodgeDiamond:
@@ -182,18 +225,6 @@ class SectorContribution:
         return self.table[2][1]
 
 
-def _placed(total: list, a: int, count, entries) -> Table:
-    """4x4 table of ``count`` times each (p, q, value) entry at (p + a, q + a).
-
-    The same values are added into ``total``.
-    """
-    table = [[0] * 4 for _ in range(4)]
-    for p, q, v in entries:
-        table[p + a][q + a] = count * v
-        total[p + a][q + a] += count * v
-    return _frozen(table)
-
-
 def sector_contribution(cfg: K3Config, j: Union[int, GroupElement]) -> SectorContribution:
     """Twisted sector of the j-th power of the generator (j nonzero).
 
@@ -205,45 +236,24 @@ def sector_contribution(cfg: K3Config, j: Union[int, GroupElement]) -> SectorCon
     r = j.j if isinstance(j, GroupElement) else j % n
     if r == 0:
         raise ValueError("the untwisted part is not a sector; use untwisted_diamond")
-    c = gcd(r, n)
-    u = r // c
-    d = n // c
+    d = n // gcd(r, n)
     weights = _SECTOR_WEIGHTS[n]
-    e_exp = elliptic_sector_exponent(n, r)
-
-    total = [[0] * 4 for _ in range(4)]
-    components = []
     record = cfg.record(d)
-    # every fixed curve meets the sector with the same local action
-    curve_local = LocalAction(n, (0, r, e_exp))
-    curve_age = _integral_age(curve_local)
-    assert curve_age == 1, "a fixed curve always has age 1 in these quotients"
+    components = []
+    # every fixed curve meets the sector with the same local action, of age 1
+    curve_local = _CURVE_LOCAL[n, r]
     for curve in record.curves:
         w = weights[d, curve.orbit_size]
-        forms = sum(m * x for m, x in zip(curve_character_dims(curve, n).c, w))
-        entries = ((0, 0, w[0]), (1, 0, forms), (0, 1, forms), (1, 1, w[0]))
-        components.append(SectorComponent("curve", curve, curve_local, curve_age,
-                                          _placed(total, curve_age, curve.count, entries)))
+        forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n).c, w))
+        h0 = curve.count * w[0]
+        entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
+        components.append(SectorComponent("curve", curve, curve_local, 1, entries))
     for point in record.points:
-        s_local = power_transport(LocalAction(n, point.type_exponents), u)
-        local = LocalAction(n, s_local.exponents + (e_exp,))
-        a = _integral_age(local)
-        if a not in (1, 2):
-            raise ValueError(f"point sector age {a} outside {{1, 2}}: non-crepant local data")
-        w = weights[d, point.orbit_size]
-        components.append(SectorComponent("point", point, local, a,
-                                          _placed(total, a, point.count, ((0, 0, w[0]),))))
-    return SectorContribution(GroupElement(n, r), tuple(components), _frozen(total))
-
-
-def _integral_age(local: LocalAction) -> int:
-    a = age(local)
-    if a.denominator != 1:
-        raise ValueError(
-            f"non-integral age {a} for local exponents {local.exponents} mod {local.n}: "
-            "non-crepant local data"
-        )
-    return int(a)
+        local, a = _point_local(n, r, *point.type_exponents)
+        entries = ((a, a, point.count * weights[d, point.orbit_size][0]),)
+        components.append(SectorComponent("point", point, local, a, entries))
+    total = _table(e for component in components for e in component.entries)
+    return SectorContribution(GroupElement(n, r), tuple(components), total)
 
 
 def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
@@ -253,12 +263,9 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
     internal inconsistency and is raised, not returned.
     """
-    table = [list(row) for row in untwisted_diamond(cfg).table]
-    for r in range(1, cfg.n):
-        for row, added in zip(table, sector_contribution(cfg, r).table):
-            for q, v in enumerate(added):
-                row[q] += v
-    diamond = HodgeDiamond(3, _frozen(table))
+    tables = [untwisted_diamond(cfg).table]
+    tables += [sector_contribution(cfg, r).table for r in range(1, cfg.n)]
+    diamond = HodgeDiamond(3, tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables)))
     frame = [
         diamond.entry(0, 0) == 1, diamond.entry(3, 3) == 1,
         diamond.entry(3, 0) == 1, diamond.entry(0, 3) == 1,

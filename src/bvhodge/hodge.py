@@ -1,6 +1,6 @@
 """Bigraded dimension tables and cyclic-group character bookkeeping.
 
-Three building blocks, all exact integer data:
+Three building blocks, all exact data:
 
 * :class:`HodgeDiamond`, a table of dimensions h^{p,q} for 0 <= p,q <= d;
 * :class:`CharacterVector`, multiplicities of the characters of a cyclic
@@ -11,26 +11,18 @@ Three building blocks, all exact integer data:
 
 Tables attached to a single eigenspace are genuinely asymmetric in (p, q);
 symmetry is asserted only for final quotient invariants, never here.  No
-floating point is used anywhere.
+floating point is used anywhere.  The value types check shapes, moduli and
+signs but keep their entries as given, so a ``Fraction`` stays a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ModulusMismatch(ValueError):
     """Raised when combining character data over different cyclic groups."""
-
-
-def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if v != int(v):
-            raise ValueError(f"expected an integer, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -47,10 +39,10 @@ class CharacterVector:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"modulus must be at least 1, got {self.n}")
-        object.__setattr__(self, "c", _int_tuple(self.c))
+        object.__setattr__(self, "c", tuple(self.c))
         if len(self.c) != self.n:
             raise ValueError(f"expected {self.n} multiplicities, got {len(self.c)}")
-        if any(m < 0 for m in self.c):
+        if min(self.c) < 0:
             raise ValueError(f"negative multiplicity in {self.c}")
 
     @classmethod
@@ -141,11 +133,11 @@ class HodgeDiamond:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("dimension must be nonnegative")
-        rows = tuple(_int_tuple(row) for row in self.table)
+        rows = tuple(map(tuple, self.table))
         object.__setattr__(self, "table", rows)
-        if len(rows) != self.d + 1 or any(len(r) != self.d + 1 for r in rows):
+        if len(rows) != self.d + 1 or set(map(len, rows)) != {self.d + 1}:
             raise ValueError(f"table must be {self.d + 1} x {self.d + 1}")
-        if any(v < 0 for row in rows for v in row):
+        if min(map(min, rows)) < 0:
             raise ValueError("all entries must be nonnegative")
 
     @classmethod
@@ -196,20 +188,25 @@ class HodgeDiamond:
         )
 
     def pictogram(self) -> str:
-        """Diamond-shaped rendering, one row per total degree p+q.
+        """Diamond-shaped rendering; see :func:`pictogram`."""
+        return pictogram(self.table)
 
-        Row k lists h^{p,q} with p+q = k, p descending, so the top row is
-        h^{0,0} and the middle row of a threefold reads h^{3,0} h^{2,1}
-        h^{1,2} h^{0,3}.
-        """
-        d = self.d
-        width = max(len(str(v)) for row in self.table for v in row) + 2
-        lines = []
-        for k in range(2 * d + 1):
-            ps = [p for p in range(d, -1, -1) if 0 <= k - p <= d]
-            cells = "".join(str(self.table[p][k - p]).center(width) for p in ps)
-            lines.append(cells.center((2 * d + 1) * width).rstrip())
-        return "\n".join(lines)
+
+def pictogram(table) -> str:
+    """Diamond-shaped rendering of a square table, one row per total degree p+q.
+
+    Row k lists h^{p,q} with p+q = k, p descending, so the top row is
+    h^{0,0} and the middle row of a threefold reads h^{3,0} h^{2,1}
+    h^{1,2} h^{0,3}.
+    """
+    d = len(table) - 1
+    width = max(len(str(v)) for row in table for v in row) + 2
+    lines = []
+    for k in range(2 * d + 1):
+        ps = [p for p in range(d, -1, -1) if 0 <= k - p <= d]
+        cells = "".join(str(table[p][k - p]).center(width) for p in ps)
+        lines.append(cells.center((2 * d + 1) * width).rstrip())
+    return "\n".join(lines)
 
 
 def euler_characteristic(diamond: HodgeDiamond) -> int:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvhodge import cli
 
@@ -161,6 +163,48 @@ def test_over_long_integer_is_a_schema_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys)
     assert code == cli.EXIT_PARSE and out == ""
     assert "integer field too long" in err
+
+
+BIG = 9 * 10 ** 4299  # 4300 digits: parses, but sums and products of it do not print
+DERIVED_TOO_LONG = [
+    {"order": 2, "raw": {"eigenspace_dims": [BIG, BIG]}},
+    {"order": 2, "raw": {"eigenspace_dims": [10, 12],
+                         "subgroups": [{"order": 2, "curves": [{"genus": 0, "count": BIG}]}]}},
+    {"order": 2, "invariants": {"r": 10, "curve_genera": [BIG, BIG]}},
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("doc", DERIVED_TOO_LONG)
+def test_integer_too_long_to_derive_from_is_a_schema_error(doc, fmt):
+    with pytest.raises(cli.SchemaError, match="integer field too long"):
+        cli.run_text(json.dumps(doc), fmt=fmt)
+
+
+def test_integer_bound_is_a_thousand_digits():
+    for value, ok in ((10 ** 1000 - 1, True), (10 ** 1000, False),
+                      (1 - 10 ** 1000, True), (-10 ** 1000, False)):
+        doc = {"order": 2, "invariants": {"r": value, "curve_genera": []}}
+        if ok:
+            with pytest.raises(cli.InvariantError):
+                cli.parse_config(doc)
+        else:
+            with pytest.raises(cli.SchemaError, match=r"invariants\.r: integer field too long"):
+                cli.parse_config(doc)
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(), st.integers(-10 ** 999, 10 ** 999),
+              st.text()),
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_json_writer_matches_the_standard_library(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # --- main() ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from bvhodge import (
     SubgroupFixedRecord,
     cli,
     crosscheck,
+    engine,
     euler_characteristic,
     euler_fixed_set,
     euler_formula,
@@ -125,6 +126,23 @@ def test_sector_non_crepant_point_type_raises():
     cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
     with pytest.raises(ValueError, match="non-crepant"):
         sector_contribution(cfg, 1)
+
+
+def test_sector_errors_are_not_memoised():
+    rec = SubgroupFixedRecord(4, points=(PointOrbit((1, 1)),))
+    cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-crepant"):
+            sector_contribution(cfg, 1)
+    assert (4, 1, 1, 1) not in engine._POINT_LOCAL
+
+
+def test_point_local_memo_stays_within_its_residues():
+    # one key per (order, power, both type exponents mod the order)
+    for order in (2, 3, 4, 6):
+        for sample in samples(order, 500):
+            orbifold_hodge_diamond(sample.config)
+    assert 0 < len(engine._POINT_LOCAL) <= sum((n - 1) * n * n for n in (2, 3, 4, 6)) == 250
 
 
 def test_sector_curve_ages_always_one():

@@ -2,10 +2,11 @@
 
 ``run_text`` either returns exit 0, 2 or 3, or raises ``JSONDecodeError`` or
 ``SchemaError``, which the command line turns into exit 1.  An exit 2 lists
-at least one violation and an exit 3 has at least one failed check.  The
-documents are drawn near the valid ones, so that most of them reach
-validation or the engine, with some fields replaced by values of the wrong
-kind.
+at least one violation and an exit 3 has at least one failed check, and the
+JSON report is exactly what ``json.dumps(..., indent=2, sort_keys=True)``
+writes for it.  The documents are drawn near the valid ones, so that most of
+them reach validation or the engine, with some fields replaced by values of
+the wrong kind or integers too long to take.
 """
 
 import json
@@ -20,8 +21,12 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 small = st.integers(-1, 6)
+#: integers of 1000 digits (taken), 1001 digits (refused) and 4300 digits
+#: (refused; Python reads it, but not a sum or product of it)
+long_ints = st.builds(lambda sign, k: sign * 9 * 10 ** k,
+                      st.sampled_from((1, -1)), st.sampled_from((999, 1000, 4299)))
 junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
-                 st.text(max_size=3), st.just({}))
+                 st.text(max_size=3), st.just({}), long_ints)
 
 
 def _or_junk(values):
@@ -47,7 +52,7 @@ def curves():
             "residual_order": st.sampled_from((1, 2, 3, 4)),
             "quotient_genus": st.one_of(st.none(), small),
             "char_dims": st.lists(st.integers(0, 3), max_size=6),
-            "count": st.integers(0, 3),
+            "count": st.one_of(st.integers(0, 3), long_ints),
         })
 
 
@@ -118,6 +123,7 @@ def _assert_exit_code(text):
     except (json.JSONDecodeError, cli.SchemaError):
         return
     payload = json.loads(rendered)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == rendered
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CHECK), code
     assert payload["exit_code"] == code
     if code == cli.EXIT_INVALID:

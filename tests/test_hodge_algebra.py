@@ -1,5 +1,7 @@
 """Character vectors, diamonds, pairings and the Kuenneth product."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -237,3 +239,25 @@ def test_add_shifted_rejects_out_of_range():
 def test_diamond_rejects_negative_entries():
     with pytest.raises(ValueError):
         HodgeDiamond(1, ((0, -1), (0, 0)))
+
+
+def test_value_types_keep_exact_entries_as_given():
+    half = Fraction(1, 2)
+    diamond = HodgeDiamond(1, ((half, 0), (0, Fraction(3))))
+    assert diamond.entry(0, 0) is half
+    assert type(diamond.entry(1, 1)) is Fraction
+    vec = CharacterVector(2, (half, 1))
+    assert vec.c[0] is half and vec.total() == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HodgeDiamond(1, ((0, Fraction(-1, 2)), (0, 0))),
+    lambda: HodgeDiamond(1, ((0, 0),)),
+    lambda: HodgeDiamond(1, ((0, 0), (0,))),
+    lambda: CharacterVector(2, (Fraction(-1, 3), 0)),
+    lambda: CharacterVector(3, (1, 2)),
+    lambda: CharacterVector(0, ()),
+])
+def test_value_types_reject_negative_entries_and_wrong_shapes(build):
+    with pytest.raises(ValueError):
+        build()
