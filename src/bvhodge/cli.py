@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
-from .engine import CrosscheckReport, crosscheck, orbifold_euler_pairsum, orbifold_hodge_diamond
+from .engine import crosscheck
 from .fixed_locus import (
     CurveOrbit,
     EigenspaceDims,
@@ -188,47 +186,28 @@ def parse_config(doc: dict) -> K3Config:
     return _CONSTRUCTORS[order](**kwargs)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one run produces; rendered by :func:`emit`."""
-
-    order: int
-    config_echo: dict
-    violations: tuple[str, ...] = ()
-    diamond: Optional[tuple[tuple[int, ...], ...]] = None
-    engine: Optional[tuple[int, int, int]] = None  # (h11, h21, e)
-    closed: Optional[tuple[int, int, int]] = None
-    checks: Optional[tuple] = None
-    exit_code: int = EXIT_OK
-
-
-def run(cfg: K3Config, doc: dict, checks: bool = True) -> RunReport:
-    """Compute the diamond, the Euler characteristic and the cross-checks.
+def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
+    """The report of one run: the dict :func:`emit` renders and ``--format json`` writes.
 
     ``cfg`` is trusted to be valid, as :func:`parse_config` returns it.
+    Without ``checks`` the report leaves out the checks and the closed
+    forms, and its exit code is 0.
     """
-    if checks:
-        report: CrosscheckReport = crosscheck(cfg)
-        diamond = report.diamond
-        e_pair = report.euler_pairsum
-        closed = None
-        if report.closed is not None:
-            closed_checks = {c.name: c for c in report.checks}
-            closed = (report.closed.h11, report.closed.h21, closed_checks["closed_form_euler"].rhs)
-        return RunReport(
-            cfg.n, doc,
-            diamond=diamond.table,
-            engine=(report.h11, report.h21, e_pair),
-            closed=closed,
-            checks=tuple((c.name, c.status, c.lhs, c.rhs) for c in report.checks),
-            exit_code=EXIT_OK if report.passed else EXIT_CHECK,
-        )
-    diamond = orbifold_hodge_diamond(cfg)
-    return RunReport(
-        cfg.n, doc,
-        diamond=diamond.table,
-        engine=(diamond.entry(1, 1), diamond.entry(2, 1), orbifold_euler_pairsum(cfg)),
-    )
+    report = crosscheck(cfg)
+    closed = report.closed
+    return {
+        "order": cfg.n,
+        "config": doc,
+        "violations": [],
+        "diamond": [list(row) for row in report.diamond.table],
+        "engine": {"h11": report.h11, "h21": report.h21, "euler": report.euler_pairsum},
+        "closed_form": (None if closed is None or not checks else
+                        {"h11": closed.h11, "h21": closed.h21, "euler": report.euler_closed}),
+        "checks": (None if not checks else
+                   [{"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
+                    for c in report.checks]),
+        "exit_code": EXIT_CHECK if checks and not report.passed else EXIT_OK,
+    }
 
 
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
@@ -253,50 +232,35 @@ def _json_text(value, indent: str = "\n") -> str:
     return write(value) if write else json.dumps(value)  # bools, floats, {} and []
 
 
-def emit(report: RunReport, fmt: str = "text") -> str:
+def emit(report: dict, fmt: str = "text") -> str:
     """Render a report; 'text' draws the diamond, 'json' is stable and sorted."""
     if fmt == "json":
-        payload = {
-            "order": report.order,
-            "config": report.config_echo,
-            "violations": list(report.violations),
-            "diamond": [list(row) for row in report.diamond] if report.diamond else None,
-            "engine": (None if report.engine is None else
-                       {"h11": report.engine[0], "h21": report.engine[1],
-                        "euler": report.engine[2]}),
-            "closed_form": (None if report.closed is None else
-                            {"h11": report.closed[0], "h21": report.closed[1],
-                             "euler": report.closed[2]}),
-            "checks": (None if report.checks is None else
-                       [{"name": n, "status": s, "lhs": l, "rhs": r}
-                        for n, s, l, r in report.checks]),
-            "exit_code": report.exit_code,
-        }
-        return _json_text(payload) + "\n"
+        return _json_text(report) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 
-    lines = [f"order {report.order} quotient of K3 x E"]
-    if report.violations:
+    lines = [f"order {report['order']} quotient of K3 x E"]
+    if report["violations"]:
         lines.append("validation:")
-        lines.extend(f"  {v}" for v in report.violations)
-    if report.diamond is not None:
+        lines.extend(f"  {v}" for v in report["violations"])
+    if report["diamond"] is not None:
         lines.append("")
         lines.append("Hodge diamond of the crepant resolution:")
-        lines.extend("  " + row for row in pictogram(report.diamond).splitlines())
+        lines.extend("  " + row for row in pictogram(report["diamond"]).splitlines())
         lines.append("")
-        h11, h21, e = report.engine
-        lines.append(f"engine:      h^{{1,1}} = {h11}  h^{{2,1}} = {h21}  e = {e}")
-        if report.closed is not None:
-            ch11, ch21, ce = report.closed
-            lines.append(f"closed form: h^{{1,1}} = {ch11}  h^{{2,1}} = {ch21}  e = {ce}")
+        engine, closed = report["engine"], report["closed_form"]
+        lines.append(f"engine:      h^{{1,1}} = {engine['h11']}  "
+                     f"h^{{2,1}} = {engine['h21']}  e = {engine['euler']}")
+        if closed is not None:
+            lines.append(f"closed form: h^{{1,1}} = {closed['h11']}  "
+                         f"h^{{2,1}} = {closed['h21']}  e = {closed['euler']}")
         else:
             lines.append("closed form: not applicable")
-    if report.checks is not None:
+    if report["checks"] is not None:
         lines.append("checks:")
-        for name, status, lhs, rhs in report.checks:
-            tail = "" if status == "skipped" else f"  ({lhs} == {rhs})"
-            lines.append(f"  {name:<18} {status.upper()}{tail}")
+        for c in report["checks"]:
+            tail = "" if c["status"] == "skipped" else f"  ({c['lhs']} == {c['rhs']})"
+            lines.append(f"  {c['name']:<18} {c['status'].upper()}{tail}")
     lines.append("")
     return "\n".join(lines)
 
@@ -335,11 +299,13 @@ def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, in
     try:
         cfg = parse_config(doc)
     except InvariantError as exc:
-        report = RunReport(doc["order"], doc, tuple(str(v) for v in exc.violations),
-                           exit_code=EXIT_INVALID)
-        return emit(report, fmt), EXIT_INVALID
-    report = run(cfg, doc, checks=checks)
-    return emit(report, fmt), report.exit_code
+        report = {"order": doc["order"], "config": doc,
+                  "violations": [str(v) for v in exc.violations],
+                  "diamond": None, "engine": None, "closed_form": None, "checks": None,
+                  "exit_code": EXIT_INVALID}
+    else:
+        report = run(cfg, doc, checks=checks)
+    return emit(report, fmt), report["exit_code"]
 
 
 def main(argv=None) -> int:

@@ -63,13 +63,11 @@ def hodge_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: int,
                  n_prime: int, p25: int, p34: int, g_D: int,
                  g_G: int, g_G_quot: int, g_F1: int, g_F1_quot: int,
                  g_F2: int, g_F2_quot: int) -> HodgePair:
-    """Order 6, split on whether the top fully-fixed curve D has genus 1 or 0."""
-    if r + 5 * m != K3_H2_DIM:
-        raise ValueError(f"need r + 5m = {K3_H2_DIM}, got {r} + 5*{m}")
-    if g_D not in (0, 1):
-        raise ValueError(f"g(D) must be 0 or 1, got {g_D}")
-    if g_D == 1 and (g_G != 1 or g_F1 != 1):
-        raise ValueError("g(D) = 1 forces D = G = F1 of genus 1")
+    """Order 6, split on whether the top fully-fixed curve D has genus 1 or 0.
+
+    The invariants must satisfy the rules that
+    :func:`~bvhodge.fixed_locus.from_invariants_order6` enforces.
+    """
     h11 = (r + 1 + 2 * l + 2 * N - 2 * b + 4 * k - 2 * a
            + 3 * n_prime + 3 * p25 + p34)
     if g_D == 1:

@@ -27,10 +27,6 @@ class GroupElement:
             raise ValueError(f"modulus must be at least 1, got {self.n}")
         object.__setattr__(self, "j", self.j % self.n)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.j == 0
-
 
 @dataclass(frozen=True)
 class LocalAction:

@@ -314,6 +314,7 @@ class CrosscheckReport:
     euler_diamond: int
     euler_pairsum: int
     closed: Optional[HodgePair]
+    euler_closed: Optional[int]
     checks: tuple[Check, ...]
 
     @property
@@ -344,7 +345,7 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     else:
         checks.append(Check("cy_relation", "fail", h21, None))
 
-    closed = None
+    closed = e_closed = None
     if cfg.invariants is not None:
         closed = closed_form_pair(cfg.n, cfg.invariants)
         classes = sorted({gcd(r, cfg.n) for r in range(1, cfg.n)})
@@ -355,5 +356,6 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     else:
         checks.extend(Check(name, "skipped") for name in
                       ("closed_form_h11", "closed_form_h21", "closed_form_euler"))
-    return CrosscheckReport(diamond, h11, h21, e_diamond, e_pair, closed, tuple(checks))
+    return CrosscheckReport(diamond, h11, h21, e_diamond, e_pair, closed, e_closed,
+                            tuple(checks))
 

@@ -58,10 +58,6 @@ class EigenspaceDims:
         if len(self.dims) != self.n:
             raise ValueError(f"expected {self.n} eigenspace dimensions, got {len(self.dims)}")
 
-    @property
-    def invariant_dim(self) -> int:
-        return self.dims[0]
-
 
 @dataclass(frozen=True)
 class CurveOrbit:
@@ -118,17 +114,11 @@ class SubgroupFixedRecord:
     curves: tuple[CurveOrbit, ...] = ()
     points: tuple[PointOrbit, ...] = ()
 
-    def curve_count(self) -> int:
-        return sum(c.count * c.orbit_size for c in self.curves)
-
     def point_count(self) -> int:
         return sum(p.count * p.orbit_size for p in self.points)
 
     def euler(self) -> int:
         return sum(c.euler_members() for c in self.curves) + self.point_count()
-
-    def max_genus(self) -> int:
-        return max((c.genus for c in self.curves), default=0)
 
 
 @dataclass(frozen=True)
@@ -423,7 +413,8 @@ _POINT_TYPE_6 = {"p25": (2, 5), "p34": (3, 4), "square": (4, 4)}
 
 
 def _int_args(where, **kwargs):
-    bad = [f"{k}={v}" for k, v in kwargs.items() if not isinstance(v, int) or v < 0]
+    bad = [f"{k}={v}" for k, v in kwargs.items()
+           if isinstance(v, bool) or not isinstance(v, int) or v < 0]
     if bad:
         raise InvariantError([Violation(where, f"counts and genera must be nonnegative "
                                                f"integers: {', '.join(bad)}")])
@@ -440,7 +431,7 @@ def _points(*specs) -> tuple[PointOrbit, ...]:
 
 def from_invariants_order2(r: int, curve_genera) -> K3Config:
     """Order 2: invariant rank r and the genera of the fixed curves."""
-    genera = tuple(int(g) for g in curve_genera)
+    genera = tuple(curve_genera)
     _int_args("order2", r=r, **{f"genus[{i}]": g for i, g in enumerate(genera)})
     dims = EigenspaceDims(2, (r, K3_H2_DIM - r))
     counts: dict[int, int] = {}

@@ -79,23 +79,6 @@ class CharacterVector:
             raise ModulusMismatch(f"modulus mismatch: {self.n} != {other.n}")
         return CharacterVector(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def __mul__(self, scalar: int) -> "CharacterVector":
-        if scalar < 0:
-            raise ValueError("multiplicities stay nonnegative")
-        return CharacterVector(self.n, tuple(scalar * m for m in self.c))
-
-    __rmul__ = __mul__
-
-    def shift(self, e: int) -> "CharacterVector":
-        """Tensor with the character of index ``e``: c'[j] = c[j - e]."""
-        n = self.n
-        return CharacterVector(n, tuple(self.c[(j - e) % n] for j in range(n)))
-
-    def conjugate(self) -> "CharacterVector":
-        """Complex-conjugate representation: c'[j] = c[-j]."""
-        n = self.n
-        return CharacterVector(n, tuple(self.c[(-j) % n] for j in range(n)))
-
     def convolve(self, other: "CharacterVector") -> "CharacterVector":
         """Character vector of the tensor product of the two representations."""
         if self.n != other.n:
@@ -109,18 +92,6 @@ class CharacterVector:
                 if m2:
                     out[(j1 + j2) % n] += m1 * m2
         return CharacterVector(n, tuple(out))
-
-
-def invariant_pairing(a: CharacterVector, b: CharacterVector) -> int:
-    """Dimension of the C_n-invariant subspace of the tensor product.
-
-    A character j of one factor pairs with the character -j of the other,
-    so the invariant dimension is sum_j a[j] * b[(n-j) mod n].
-    """
-    if a.n != b.n:
-        raise ModulusMismatch(f"modulus mismatch: {a.n} != {b.n}")
-    n = a.n
-    return sum(a.c[j] * b.c[(n - j) % n] for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -140,35 +111,8 @@ class HodgeDiamond:
         if min(map(min, rows)) < 0:
             raise ValueError("all entries must be nonnegative")
 
-    @classmethod
-    def zero(cls, d: int) -> "HodgeDiamond":
-        return cls(d, tuple((0,) * (d + 1) for _ in range(d + 1)))
-
-    @classmethod
-    def from_entries(cls, d: int, entries: Mapping[tuple[int, int], int]) -> "HodgeDiamond":
-        table = [[0] * (d + 1) for _ in range(d + 1)]
-        for (p, q), v in entries.items():
-            if not (0 <= p <= d and 0 <= q <= d):
-                raise ValueError(f"entry ({p},{q}) outside 0..{d}")
-            table[p][q] = v
-        return cls(d, tuple(tuple(row) for row in table))
-
     def entry(self, p: int, q: int) -> int:
         return self.table[p][q]
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.table)
-
-    def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        if self.d != other.d:
-            raise ValueError(f"dimension mismatch: {self.d} != {other.d}")
-        return HodgeDiamond(
-            self.d,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.table, other.table)
-            ),
-        )
 
     def is_pq_symmetric(self) -> bool:
         """h^{p,q} = h^{q,p}.  Holds for Kaehler-type diamonds only."""
@@ -218,29 +162,6 @@ def euler_characteristic(diamond: HodgeDiamond) -> int:
     )
 
 
-def add_shifted(diamond: HodgeDiamond, contribution: HodgeDiamond, shift: int) -> HodgeDiamond:
-    """Add ``contribution`` into ``diamond`` with both indices moved up by ``shift``.
-
-    A nonzero entry pushed outside 0..d is an error: for the geometries
-    handled here it signals non-crepant local data, never a rounding issue.
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    table = [list(row) for row in diamond.table]
-    for p in range(contribution.d + 1):
-        for q in range(contribution.d + 1):
-            v = contribution.table[p][q]
-            if not v:
-                continue
-            tp, tq = p + shift, q + shift
-            if tp > diamond.d or tq > diamond.d:
-                raise ValueError(
-                    f"shifted entry ({tp},{tq}) falls outside 0..{diamond.d}"
-                )
-            table[tp][tq] += v
-    return HodgeDiamond(diamond.d, tuple(tuple(row) for row in table))
-
-
 @dataclass(frozen=True)
 class BigradedCharacterTable:
     """A CharacterVector for every bidegree (p, q), 0 <= p,q <= d.
@@ -281,9 +202,6 @@ class BigradedCharacterTable:
 
     def vector(self, p: int, q: int) -> CharacterVector:
         return self.grid[p][q]
-
-    def total(self) -> int:
-        return sum(vec.total() for row in self.grid for vec in row)
 
     def total_diamond(self) -> HodgeDiamond:
         """Forget the characters: per-(p,q) total dimensions."""

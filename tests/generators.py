@@ -16,13 +16,12 @@ from random import Random
 
 from bvhodge import (
     K3Config,
-    HodgePair,
-    closed_form_pair,
     from_invariants_order2,
     from_invariants_order3,
     from_invariants_order4,
     from_invariants_order6,
 )
+from bvhodge.closed_forms import HodgePair, closed_form_pair
 from oracles import aas_relations_order4
 
 MAX_TRIES = 500

@@ -6,7 +6,7 @@ the samplers solve for (r, m), the Calabi-Yau Euler relation, and the
 order-6 consistency functional.
 """
 
-from bvhodge import HodgePair
+from bvhodge.closed_forms import HodgePair
 
 
 def classic_bv(n_curves: int, genus_sum: int) -> HodgePair:

@@ -14,16 +14,16 @@ import pytest
 from bvhodge import (
     cli,
     crosscheck,
-    euler_characteristic,
-    euler_fixed_set,
-    euler_formula,
     from_invariants_order2,
     from_invariants_order4,
     from_invariants_order6,
     orbifold_euler_pairsum,
     orbifold_hodge_diamond,
-    sector_contribution,
 )
+from bvhodge.closed_forms import euler_formula
+from bvhodge.engine import sector_contribution
+from bvhodge.fixed_locus import euler_fixed_set
+from bvhodge.hodge import euler_characteristic
 from generators import samples
 from oracles import classic_bv, corollary_order6
 

@@ -14,7 +14,8 @@ pairing machinery is made.
 from fractions import Fraction
 from math import gcd
 
-from bvhodge import curve_character_dims, elliptic_fixture, sector_contribution
+from bvhodge.engine import sector_contribution
+from bvhodge.fixed_locus import curve_character_dims, elliptic_fixture
 from generators import samples
 
 

@@ -66,7 +66,7 @@ def test_parse_raw_document():
     }
     cfg = cli.parse_config(doc)
     assert cfg.invariants is None
-    assert cfg.record(2).curve_count() == 7
+    assert sum(c.count * c.orbit_size for c in cfg.record(2).curves) == 7
 
 
 def test_parse_validates_raw_documents():
@@ -143,6 +143,20 @@ def test_validation_failure_reports_violations():
     payload = json.loads(rendered)
     assert payload["engine"] is None
     assert any("d[0]" in v for v in payload["violations"])
+
+
+def test_order6_closed_form_rules_exit_2_through_the_constructor():
+    # the order-6 closed form relies on these rules; the constructor alone enforces them
+    base = dict.fromkeys(("l", "k", "N", "a", "b", "n_prime", "p25", "p34", "g_D", "g_G",
+                          "g_G_quot", "g_F1", "g_F1_quot", "g_F2", "g_F2_quot"), 0)
+    base.update(r=2, m=4)
+    for change, message in (({"r": 3}, "need r + 5m = 22"),
+                            ({"g_D": 2}, "g(D) must be 0 or 1"),
+                            ({"l": 1, "k": 1, "N": 1, "g_D": 1}, "g(D) = 1 forces D = G = F1")):
+        doc = {"order": 6, "invariants": {**base, **change}}
+        rendered, code = cli.run_text(json.dumps(doc), fmt="json")
+        assert code == cli.EXIT_INVALID, change
+        assert any(message in v for v in json.loads(rendered)["violations"]), change
 
 
 def test_deeply_nested_document_is_a_schema_error():

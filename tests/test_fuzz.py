@@ -4,9 +4,14 @@
 ``SchemaError``, which the command line turns into exit 1.  An exit 2 lists
 at least one violation and an exit 3 has at least one failed check, and the
 JSON report is exactly what ``json.dumps(..., indent=2, sort_keys=True)``
-writes for it.  The documents are drawn near the valid ones, so that most of
-them reach validation or the engine, with some fields replaced by values of
-the wrong kind or integers too long to take.
+writes for it.  The text report ends in the same exit code, and without the
+checks the report only loses its checks and closed forms.
+
+The documents start from consistent configurations, named or raw, and from
+arbitrary named and raw documents of the right shape.  At most one field of
+each is then moved by a small integer or replaced by a value of the wrong
+kind or an integer too long to take, so that most documents reach
+validation and many reach the engine.
 """
 
 import json
@@ -15,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bvhodge import cli
+from generators import samples
 
 ORDERS = (2, 3, 4, 6)
 FUZZ = settings(max_examples=150, deadline=None,
@@ -29,11 +35,6 @@ junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infi
                  st.text(max_size=3), st.just({}), long_ints)
 
 
-def _or_junk(values):
-    """Mostly ``values``, sometimes a JSON value of the wrong kind."""
-    return st.one_of(values, values, values, junk)
-
-
 @st.composite
 def eigenspace_dims(draw, n):
     """Symmetric dims summing to 22 most of the time, arbitrary otherwise."""
@@ -46,7 +47,7 @@ def eigenspace_dims(draw, n):
 
 def curves():
     return st.fixed_dictionaries(
-        {"genus": _or_junk(small)},
+        {"genus": small},
         optional={
             "orbit_size": st.sampled_from((1, 2, 3, 0)),
             "residual_order": st.sampled_from((1, 2, 3, 4)),
@@ -59,7 +60,7 @@ def curves():
 def points():
     exponent = st.integers(0, 6)
     return st.fixed_dictionaries(
-        {"type": _or_junk(st.tuples(exponent, exponent).map(list))},
+        {"type": st.tuples(exponent, exponent).map(list)},
         optional={"orbit_size": st.sampled_from((1, 2, 3)), "count": st.integers(0, 3)})
 
 
@@ -68,12 +69,12 @@ def raw_documents(draw):
     n = draw(st.sampled_from(ORDERS))
     divisors = [d for d in range(2, n + 1) if n % d == 0]
     subgroups = draw(st.lists(st.fixed_dictionaries(
-        {"order": _or_junk(st.sampled_from(divisors + [1, 5]))},
-        optional={"curves": _or_junk(st.lists(_or_junk(curves()), max_size=3)),
-                  "points": _or_junk(st.lists(_or_junk(points()), max_size=3))}),
+        {"order": st.sampled_from(divisors + [1, 5])},
+        optional={"curves": st.lists(curves(), max_size=3),
+                  "points": st.lists(points(), max_size=3)}),
         max_size=3))
-    raw = {"eigenspace_dims": draw(eigenspace_dims(n)), "subgroups": subgroups}
-    return {"order": n, "raw": draw(_or_junk(st.just(raw)))}
+    return {"order": n, "raw": {"eigenspace_dims": draw(eigenspace_dims(n)),
+                                "subgroups": subgroups}}
 
 
 _NAMED_KEYS = {
@@ -87,12 +88,65 @@ _NAMED_KEYS = {
 @st.composite
 def named_documents(draw):
     n = draw(st.sampled_from(ORDERS))
-    inv = {key: draw(_or_junk(st.integers(-1, 12))) for key in _NAMED_KEYS[n]}
+    inv = {key: draw(st.integers(-1, 12)) for key in _NAMED_KEYS[n]}
     if n == 2:
-        inv["curve_genera"] = draw(_or_junk(st.lists(small, max_size=4)))
+        inv["curve_genera"] = draw(st.lists(small, max_size=4))
     if n == 4:
-        inv["D_type"] = draw(_or_junk(st.sampled_from(("first", "second"))))
+        inv["D_type"] = draw(st.sampled_from(("first", "second")))
     return {"order": n, "invariants": inv}
+
+
+def raw_form(cfg) -> dict:
+    """The raw document of a configuration, every optional field written out."""
+    return {"eigenspace_dims": list(cfg.eigenspace.dims), "subgroups": [
+        {"order": rec.subgroup_order,
+         "curves": [{"genus": c.genus, "orbit_size": c.orbit_size,
+                     "residual_order": c.residual_order, "quotient_genus": c.quotient_genus,
+                     "char_dims": None if c.char_dims is None else list(c.char_dims),
+                     "count": c.count} for c in rec.curves],
+         "points": [{"type": list(p.type_exponents), "orbit_size": p.orbit_size,
+                     "count": p.count} for p in rec.points]}
+        for rec in cfg.records]}
+
+
+@st.composite
+def consistent_documents(draw):
+    """A configuration that passes every check, as a named or a raw document."""
+    n = draw(st.sampled_from(ORDERS))
+    drawn = samples(n, 1, seed=draw(st.integers(0, 2 ** 32)))[0]
+    if draw(st.booleans()):
+        return {"order": n, "invariants": drawn.invariants}
+    return {"order": n, "raw": raw_form(drawn.config)}
+
+
+def _fields(node, path=()):
+    """The path of every value below the top level of a JSON document."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,), child
+        yield from _fields(child, path + (key,))
+
+
+@st.composite
+def documents(draw):
+    """A document of either kind with at most one field moved or replaced by junk."""
+    # every source is drawn and one is kept: drawn first, the choice of source would
+    # leave consistent documents so few choices that Hypothesis skips most as seen
+    drawn = [draw(consistent_documents()), draw(raw_documents()), draw(named_documents())]
+    doc = json.loads(json.dumps(drawn[draw(st.sampled_from((0, 0, 1, 2)))]))
+    change = draw(st.sampled_from(("none", "nudge", "junk")))
+    fields = [(path, value) for path, value in _fields(doc)
+              if change == "junk" or type(value) is int]
+    if change == "none" or not fields:
+        return doc
+    path, value = draw(st.sampled_from(fields))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = (draw(junk) if change == "junk"
+                        else value + draw(st.integers(-2, 2).filter(bool)))
+    return doc
 
 
 @st.composite
@@ -118,10 +172,11 @@ def nested_texts(draw):
 
 
 def _assert_exit_code(text):
+    """Run ``text`` in both formats, with and without checks; return the exit code."""
     try:
         rendered, code = cli.run_text(text, fmt="json")
     except (json.JSONDecodeError, cli.SchemaError):
-        return
+        return cli.EXIT_PARSE
     payload = json.loads(rendered)
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == rendered
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CHECK), code
@@ -130,6 +185,21 @@ def _assert_exit_code(text):
         assert payload["violations"]
     if code == cli.EXIT_CHECK:
         assert any(c["status"] == "fail" for c in payload["checks"])
+
+    text_report, text_code = cli.run_text(text, fmt="text")
+    assert text_code == code
+    assert text_report.startswith(f"order {payload['order']} quotient of K3 x E\n")
+    unchecked, unchecked_code = cli.run_text(text, fmt="json", checks=False)
+    if code == cli.EXIT_INVALID:
+        assert (unchecked, unchecked_code) == (rendered, code)
+    else:
+        assert unchecked_code == cli.EXIT_OK
+        assert json.loads(unchecked) == dict(payload, checks=None, closed_form=None,
+                                             exit_code=cli.EXIT_OK)
+    unchecked_text, unchecked_text_code = cli.run_text(text, fmt="text", checks=False)
+    assert unchecked_text_code == unchecked_code
+    assert "checks:" not in unchecked_text
+    return code
 
 
 ODD_ORDER3_SPLIT = {"order": 6, "raw": {
@@ -140,7 +210,7 @@ ODD_ORDER3_SPLIT = {"order": 6, "raw": {
 
 
 @FUZZ
-@given(st.one_of(raw_documents(), named_documents()))
+@given(documents())
 @example(ODD_ORDER3_SPLIT)
 @example({"order": 2, "raw": {"eigenspace_dims": [10, 12],
                               "subgroups": [{"order": 2, "curves": 5}]}})
