@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fixed_locus import K3_H2_DIM, InvariantError, order4_relations
+from .fixed_locus import K3_H2_DIM
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,11 @@ class HodgePair:
 
 def hodge_order2(r: int, m: int, n_curves: int, genus_sum: int) -> HodgePair:
     """Order 2: N fixed curves with total genus N' give (r+1+4N, m-1+4N')."""
-    if r + m != K3_H2_DIM or r < 1 or m < 1:
-        raise ValueError(f"need r + m = {K3_H2_DIM} with both positive, got ({r}, {m})")
     return HodgePair(r + 1 + 4 * n_curves, m - 1 + 4 * genus_sum)
 
 
 def hodge_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> HodgePair:
     """Order 3: k fixed curves (top genus g_C) and n isolated points."""
-    if r + 2 * m != K3_H2_DIM:
-        raise ValueError(f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}")
     return HodgePair(r + 1 + 3 * n_points + 6 * k, m - 1 + 6 * g_C)
 
 
@@ -46,14 +42,9 @@ def hodge_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: int,
 
     h11 is the same in both cases; h21 is m - 1 + 7g(D) when D is pointwise
     fixed (first type) and m + 2g(D) - n2/2 when D is merely invariant
-    (second type, n2 even).  The counts must satisfy
-    :func:`~bvhodge.fixed_locus.order4_relations`.
+    (second type, n2 even).  The counts must satisfy the rules that
+    :func:`~bvhodge.fixed_locus.from_invariants_order4` enforces.
     """
-    if D_type not in ("first", "second"):
-        raise ValueError(f"D_type must be 'first' or 'second', got {D_type!r}")
-    violations = order4_relations(k, b, n1, n2, g_D, D_type)
-    if violations:
-        raise InvariantError(violations)
     h11 = 1 + r + 7 * k + 3 * b + 2 * (n1 + n2) + 4 * a
     h21 = (m - 1 + 7 * g_D) if D_type == "first" else (m + 2 * g_D - n2 // 2)
     return HodgePair(h11, h21)
@@ -96,29 +87,16 @@ def euler_formula(order: int, e_values: Sequence[int]) -> int:
     applicable): 6e1 for order 2, 8e1 for order 3, 6e1 + 3e2 for order 4,
     4e1 + 4e2 + 2e3 for order 6.
     """
-    if order not in EULER_WEIGHTS:
-        raise ValueError(f"unsupported order {order}")
-    weights = EULER_WEIGHTS[order]
-    if len(e_values) != len(weights):
-        raise ValueError(f"order {order} needs {len(weights)} Euler values")
-    return sum(w * e for w, e in zip(weights, e_values))
+    return sum(w * e for w, e in zip(EULER_WEIGHTS[order], e_values, strict=True))
+
+
+#: the closed forms whose parameters are the named invariants of their order
+_FORMS = {3: hodge_order3, 4: hodge_order4, 6: hodge_order6}
 
 
 def closed_form_pair(order: int, invariants: Mapping) -> HodgePair:
-    """Evaluate the closed formula of the given order on named invariants."""
-    inv = dict(invariants)
+    """Evaluate the closed formula of an order on invariants its named constructor accepted."""
     if order == 2:
-        genera = inv["curve_genera"]
-        return hodge_order2(inv["r"], K3_H2_DIM - inv["r"], len(genera), sum(genera))
-    if order == 3:
-        return hodge_order3(inv["r"], inv["m"], inv["k"], inv["n_points"], inv["g_C"])
-    if order == 4:
-        return hodge_order4(inv["r"], inv["m"], inv["k"], inv["a"], inv["b"],
-                            inv["n1"], inv["n2"], inv["g_D"], inv["D_type"])
-    if order == 6:
-        return hodge_order6(inv["r"], inv["m"], inv["l"], inv["k"], inv["N"],
-                            inv["a"], inv["b"], inv["n_prime"], inv["p25"],
-                            inv["p34"], inv["g_D"], inv["g_G"], inv["g_G_quot"],
-                            inv["g_F1"], inv["g_F1_quot"], inv["g_F2"],
-                            inv["g_F2_quot"])
-    raise ValueError(f"unsupported order {order}")
+        r, genera = invariants["r"], invariants["curve_genera"]
+        return hodge_order2(r, K3_H2_DIM - r, len(genera), sum(genera))
+    return _FORMS[order](**invariants)

@@ -1,4 +1,6 @@
-"""Elements of C_n, linearized local actions and their ages.
+"""Elements of C_n, linearized local actions and their ages: the engine's test oracle.
+
+The engine never imports it; it stays in ``src/`` while the bench hooks :func:`age`.
 
 Conventions, fixed once for the whole package:
 

@@ -11,14 +11,14 @@ the multiplicity of character -k in the K3 entry.  This is the character-0
 slice of the character-refined Kuenneth product, which the tests keep as
 an independent oracle (:func:`bvhodge.hodge.kunneth_character_product`).
 
-For each nontrivial power of the generator, the fixed locus is a disjoint
-union of products (curve or point on the K3 side) x (fixed point on the
-elliptic side); the group permutes these components and acts on their
+For each nontrivial power g^r of the generator, the fixed locus is a
+disjoint union of products (curve or point on the K3 side) x (fixed point on
+the elliptic side); the group permutes these components and acts on their
 cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
-per-order weights, and its integral age shifts them diagonally.  Local
-actions and ages depend only on residues and are computed once per residue;
-a component keeps its (p, q, value) entries and builds its table when read.
+per-order weights, and its age shifts them diagonally: a curve has local
+exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
+(u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
@@ -35,7 +35,6 @@ from math import gcd
 from typing import Optional, Union
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
-from .cyclic import GroupElement, LocalAction, age, power_transport
 from .fixed_locus import (
     SUPPORTED_ORDERS,
     CurveOrbit,
@@ -44,7 +43,6 @@ from .fixed_locus import (
     PointOrbit,
     curve_character_dims,
     elliptic_fixture,
-    elliptic_sector_exponent,
     euler_fixed_set,
     validate,
 )
@@ -140,39 +138,6 @@ def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
     return HodgeDiamond(3, table)
 
 
-def _integral_age(local: LocalAction) -> int:
-    a = age(local)
-    if a.denominator != 1:
-        raise ValueError(
-            f"non-integral age {a} for local exponents {local.exponents} mod {local.n}: "
-            "non-crepant local data"
-        )
-    return int(a)
-
-
-#: local action of every fixed curve in the sector of power r, per (n, r)
-_CURVE_LOCAL = {(n, r): LocalAction(n, (0, r, elliptic_sector_exponent(n, r)))
-                for n in SUPPORTED_ORDERS for r in range(1, n)}
-assert all(_integral_age(local) == 1 for local in _CURVE_LOCAL.values()), \
-    "a fixed curve always has age 1 in these quotients"
-
-#: (n, r, t1 mod n, t2 mod n) -> (local action, age) of a point class in the sector
-#: of power r, filled on first use (at most 250 keys); errors are never stored
-_POINT_LOCAL: dict = {}
-
-
-def _point_local(n: int, r: int, t1: int, t2: int) -> tuple[LocalAction, int]:
-    key = (n, r, t1 % n, t2 % n)
-    if key not in _POINT_LOCAL:
-        s_local = power_transport(LocalAction(n, key[2:]), r // gcd(r, n))
-        local = LocalAction(n, s_local.exponents + (elliptic_sector_exponent(n, r),))
-        a = _integral_age(local)
-        if a not in (1, 2):
-            raise ValueError(f"point sector age {a} outside {{1, 2}}: non-crepant local data")
-        _POINT_LOCAL[key] = local, a
-    return _POINT_LOCAL[key]
-
-
 def _table(entries) -> Table:
     """4x4 table holding at each (p, q) the sum of the values of the (p, q, value) entries."""
     table = [[0] * 4 for _ in range(4)]
@@ -183,7 +148,7 @@ def _table(entries) -> Table:
 
 @dataclass(frozen=True)
 class SectorComponent:
-    """One class of components of a twisted sector, with its age.
+    """One class of components of a twisted sector, with its local exponents and age.
 
     ``entries`` are the (p, q, value) triples the class adds to the diamond,
     ``count`` times over and shifted by the age; ``table`` is built on read.
@@ -191,7 +156,7 @@ class SectorComponent:
 
     kind: str  # "curve" or "point"
     source: Union[CurveOrbit, PointOrbit]
-    local: LocalAction
+    exponents: tuple[int, ...]
     age: int
     entries: tuple[tuple[int, int, int], ...]
 
@@ -206,9 +171,9 @@ class SectorComponent:
 
 @dataclass(frozen=True)
 class SectorContribution:
-    """Everything the sector of one nontrivial group element adds."""
+    """Everything the sector of one nontrivial power of the generator adds."""
 
-    element: GroupElement
+    power: int
     components: tuple[SectorComponent, ...]
     table: Table
 
@@ -225,35 +190,38 @@ class SectorContribution:
         return self.table[2][1]
 
 
-def sector_contribution(cfg: K3Config, j: Union[int, GroupElement]) -> SectorContribution:
+def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
     """Twisted sector of the j-th power of the generator (j nonzero).
 
-    Assumes a structurally valid configuration.  A non-integral age means
-    the local data cannot belong to a crepant-resolvable quotient and is a
-    hard error.
+    Assumes a structurally valid configuration.  A point age other than 1
+    or 2 means the local data cannot belong to a crepant-resolvable
+    quotient and is a hard error.
     """
     n = cfg.n
-    r = j.j if isinstance(j, GroupElement) else j % n
+    r = j % n
     if r == 0:
         raise ValueError("the untwisted part is not a sector; use untwisted_diamond")
     d = n // gcd(r, n)
     weights = _SECTOR_WEIGHTS[n]
     record = cfg.record(d)
     components = []
-    # every fixed curve meets the sector with the same local action, of age 1
-    curve_local = _CURVE_LOCAL[n, r]
     for curve in record.curves:
         w = weights[d, curve.orbit_size]
         forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n).c, w))
         h0 = curve.count * w[0]
         entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
-        components.append(SectorComponent("curve", curve, curve_local, 1, entries))
+        components.append(SectorComponent("curve", curve, (0, r, n - r), 1, entries))
+    u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
     for point in record.points:
-        local, a = _point_local(n, r, *point.type_exponents)
+        t1, t2 = point.type_exponents
+        exponents = (u * t1 % n, u * t2 % n, n - r)
+        a, rest = divmod(sum(exponents), n)
+        if rest or a not in (1, 2):
+            raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
         entries = ((a, a, point.count * weights[d, point.orbit_size][0]),)
-        components.append(SectorComponent("point", point, local, a, entries))
+        components.append(SectorComponent("point", point, exponents, a, entries))
     total = _table(e for component in components for e in component.entries)
-    return SectorContribution(GroupElement(n, r), tuple(components), total)
+    return SectorContribution(r, tuple(components), total)
 
 
 def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional, Union
+from typing import Optional
 
-from .cyclic import GroupElement
 from .hodge import CharacterVector
 
 SUPPORTED_ORDERS = (2, 3, 4, 6)
@@ -54,7 +53,7 @@ class EigenspaceDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
         if len(self.dims) != self.n:
             raise ValueError(f"expected {self.n} eigenspace dimensions, got {len(self.dims)}")
 
@@ -83,7 +82,7 @@ class CurveOrbit:
         if self.residual_order == 1 and self.quotient_genus is None:
             object.__setattr__(self, "quotient_genus", self.genus)
         if self.char_dims is not None:
-            object.__setattr__(self, "char_dims", tuple(int(v) for v in self.char_dims))
+            object.__setattr__(self, "char_dims", tuple(self.char_dims))
 
     def euler_members(self) -> int:
         """Euler characteristic of the full orbit times ``count``."""
@@ -103,7 +102,7 @@ class PointOrbit:
     count: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "type_exponents", tuple(int(t) for t in self.type_exponents))
+        object.__setattr__(self, "type_exponents", tuple(self.type_exponents))
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class K3Config:
     invariants: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n not in SUPPORTED_ORDERS:
+        if not isinstance(self.n, int) or self.n not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported order {self.n}; supported: {SUPPORTED_ORDERS}")
         if self.eigenspace.n != self.n:
             raise ValueError("eigenspace modulus differs from the order")
@@ -153,8 +152,7 @@ class EllipticFixture:
     """Fixed points of each subgroup on the elliptic side, as orbit sizes.
 
     The automorphism of E of order n is rigid, so the orbit data is fully
-    determined by n; the local cotangent exponent in the sector of the j-th
-    power is j*(n-1) = -j mod n at every fixed point.
+    determined by n.
     """
 
     n: int
@@ -175,11 +173,6 @@ class EllipticFixture:
         for size in self.orbit_sizes(subgroup_order):
             vec = vec + CharacterVector.orbit(self.n, size)
         return vec
-
-
-def elliptic_sector_exponent(n: int, j: int) -> int:
-    """Cotangent exponent of the elliptic factor in the sector of power j."""
-    return (j * (n - 1)) % n
 
 
 _ELLIPTIC_ORBITS = {
@@ -245,21 +238,13 @@ def curve_character_dims(curve: CurveOrbit, n: int) -> CharacterVector:
     raise ValueError(f"unsupported residual order {rho}")
 
 
-def _residue(j: Union[int, GroupElement], n: int) -> int:
-    if isinstance(j, GroupElement):
-        if j.n != n:
-            raise ValueError(f"modulus mismatch: {j.n} != {n}")
-        return j.j
-    return j % n
-
-
-def euler_fixed_set(cfg: K3Config, j: Union[int, GroupElement]) -> int:
+def euler_fixed_set(cfg: K3Config, j: int) -> int:
     """Euler characteristic of the fixed set of the j-th power on S.
 
     The identity gives the full K3 value 24; otherwise the fixed set is the
     one of the subgroup generated by the power, read off its record.
     """
-    r = _residue(j, cfg.n)
+    r = j % cfg.n
     if r == 0:
         return K3_EULER
     return cfg.record(cfg.n // gcd(r, cfg.n)).euler()
@@ -269,9 +254,20 @@ def euler_fixed_set(cfg: K3Config, j: Union[int, GroupElement]) -> int:
 # validation
 
 
+def _ints(out: list, where: str, fields: dict) -> bool:
+    """Record each field (its path below ``where``: value) holding a bool or a non-int."""
+    bad = [Violation(where + k, f"expected an integer, got {v!r}")
+           for k, v in fields.items() if type(v) is not int]
+    out.extend(bad)
+    return not bad
+
+
 def _validate_eigenspace(cfg: K3Config, out: list):
     n, dims = cfg.n, cfg.eigenspace.dims
     where = "eigenspace_dims"
+    if {*map(type, dims)} != {int}:
+        _ints(out, where, {f"[{j}]": v for j, v in enumerate(dims)})
+        return
     if any(v < 0 for v in dims):
         out.append(Violation(where, "dimensions must be nonnegative"))
         return
@@ -295,6 +291,9 @@ def _validate_records(cfg: K3Config, out: list):
     for rec in cfg.records:
         d = rec.subgroup_order
         where = f"subgroup[{d}]"
+        if type(d) is not int:
+            _ints(out, where, {".order": d})
+            continue
         if d <= 1 or n % d:
             out.append(Violation(where, f"subgroup order must be a divisor of {n} greater than 1"))
             continue
@@ -304,6 +303,15 @@ def _validate_records(cfg: K3Config, out: list):
         seen.add(d)
         for i, c in enumerate(rec.curves):
             w = f"{where}.curves[{i}]"
+            gq = c.quotient_genus  # may be unset: reported below when it is required
+            # the quick test passes for most curves, which then build no field names
+            quick = (type(c.genus) is type(c.orbit_size) is type(c.residual_order)
+                     is type(c.count) is type(gq) is int and c.char_dims is None)
+            if not quick and not _ints(out, w, {
+                    ".genus": c.genus, ".count": c.count, ".residual_order": c.residual_order,
+                    ".orbit_size": c.orbit_size, ".quotient_genus": 0 if gq is None else gq,
+                    **{f".char_dims[{j}]": v for j, v in enumerate(c.char_dims or ())}}):
+                continue
             if c.count < 1 or c.orbit_size < 1:
                 out.append(Violation(w, "count and orbit_size must be at least 1"))
                 continue
@@ -321,7 +329,6 @@ def _validate_records(cfg: K3Config, out: list):
                     f"{d} must multiply into a divisor of {n}",
                 ))
                 continue
-            gq = c.quotient_genus
             if gq is None:
                 out.append(Violation(w, "quotient_genus is required when residual_order > 1"))
                 continue
@@ -340,12 +347,16 @@ def _validate_records(cfg: K3Config, out: list):
                     out.append(Violation(w, str(exc)))
         for i, p in enumerate(rec.points):
             w = f"{where}.points[{i}]"
+            t1, t2 = p.type_exponents
+            if not type(t1) is type(t2) is type(p.orbit_size) is type(p.count) is int:
+                _ints(out, w, {".type[0]": t1, ".type[1]": t2,
+                               ".orbit_size": p.orbit_size, ".count": p.count})
+                continue
             if p.count < 1 or p.orbit_size < 1:
                 out.append(Violation(w, "count and orbit_size must be at least 1"))
                 continue
             if (n // d) % p.orbit_size:
                 out.append(Violation(w, f"point orbit size must divide {n // d}"))
-            t1, t2 = p.type_exponents
             step = n // d
             if t1 % n == 0 or t2 % n == 0:
                 out.append(Violation(
@@ -366,7 +377,7 @@ def validate(cfg: K3Config) -> list[Violation]:
     The named constructors and the raw-document parser call this once on
     every configuration they build, and everything downstream trusts the
     result.  Call it on a configuration built by hand before handing that
-    to the engine.
+    to the engine.  An integer field holding a float or a bool is refused.
     """
     out: list[Violation] = []
     _validate_eigenspace(cfg, out)

@@ -159,6 +159,28 @@ def test_order6_closed_form_rules_exit_2_through_the_constructor():
         assert any(message in v for v in json.loads(rendered)["violations"]), change
 
 
+def test_closed_form_rules_of_orders_2_3_4_exit_through_the_parser_or_the_constructor():
+    # the closed forms of these orders rely on these rules; a constructor (exit 2)
+    # or the parser (exit 1) alone enforces them
+    order4 = dict(r=7, m=5, k=0, a=0, b=2, n1=1, n2=3, g_D=1, D_type="second")
+    for order, invariants, message in (
+            (2, {"r": 0, "curve_genera": []}, "d[0] must be at least 1"),
+            (2, {"r": 22, "curve_genera": []}, "d[1] must be at least 2"),
+            (3, {"r": 4, "m": 8, "k": 1, "n_points": 1, "g_C": 0}, "need r + 2m = 22"),
+            (4, order4, "n2 must be even"),
+            (4, dict(order4, r=11, m=3, k=2, a=1, b=3, n1=8, n2=0, D_type="first"),
+             "first type needs n1 = 2h+4")):
+        doc = {"order": order, "invariants": invariants}
+        rendered, code = cli.run_text(json.dumps(doc), fmt="json")
+        assert code == cli.EXIT_INVALID, doc
+        assert any(message in v for v in json.loads(rendered)["violations"]), doc
+    for doc, message in (({"order": 4, "invariants": dict(order4, D_type="third")},
+                          "expected 'first' or 'second'"),
+                         ({"order": 5, "invariants": {}}, "unsupported order 5")):
+        with pytest.raises(cli.SchemaError, match=message):
+            cli.run_text(json.dumps(doc))
+
+
 def test_deeply_nested_document_is_a_schema_error():
     for text in ("[" * 100_000 + "]" * 100_000,
                  '{"order": 2, "invariants": {"r": ' + "[" * 100_000 + "]" * 100_000 + "}}"):

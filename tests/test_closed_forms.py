@@ -1,7 +1,14 @@
-"""Closed formulas: direct values, coefficient checks, relation guards."""
+"""Closed formulas: direct values and coefficient checks.
+
+The formulas trust the named constructors; the ``*_rejects_*`` tests check
+that the constructor (or the parser) refuses what a formula would not.
+"""
+
+import json
 
 import pytest
 
+from bvhodge import cli
 from bvhodge.closed_forms import (
     HodgePair,
     euler_formula,
@@ -9,6 +16,12 @@ from bvhodge.closed_forms import (
     hodge_order3,
     hodge_order4,
     hodge_order6,
+)
+from bvhodge.fixed_locus import (
+    InvariantError,
+    from_invariants_order2,
+    from_invariants_order3,
+    from_invariants_order4,
 )
 from oracles import aas_relations_order4, classic_bv, corollary_order6, cy_euler_relation
 
@@ -28,10 +41,10 @@ def test_order2_self_mirror_instance():
 
 
 def test_order2_rejects_bad_ranks():
-    with pytest.raises(ValueError):
-        hodge_order2(9, 12, 0, 0)
-    with pytest.raises(ValueError):
-        hodge_order2(0, 22, 0, 0)
+    with pytest.raises(InvariantError):
+        from_invariants_order2(0, [])
+    with pytest.raises(InvariantError):
+        from_invariants_order2(22, [])
 
 
 def test_classic_bv_examples():
@@ -68,8 +81,8 @@ def test_order3_point_coefficient():
 
 
 def test_order3_rejects_bad_ranks():
-    with pytest.raises(ValueError):
-        hodge_order3(4, 8, 1, 1, 0)
+    with pytest.raises(InvariantError, match="need r \\+ 2m = 22"):
+        from_invariants_order3(4, 8, 1, 1, 0)
 
 
 # --- order 4 -----------------------------------------------------------------
@@ -98,13 +111,15 @@ def test_order4_second_type_n2_coefficient():
 
 
 def test_order4_rejects_odd_n2():
-    with pytest.raises(ValueError):
-        hodge_order4(7, 5, 0, 0, 2, 1, 3, 1, "second")
+    with pytest.raises(InvariantError, match="n2 must be even"):
+        from_invariants_order4(7, 5, 0, 0, 2, 1, 3, 1, "second")
 
 
 def test_order4_rejects_broken_shape():
-    with pytest.raises(ValueError):
-        hodge_order4(11, 3, 2, 1, 3, 8, 0, 1, "first")
+    with pytest.raises(InvariantError):
+        from_invariants_order4(11, 3, 2, 1, 3, 8, 0, 1, "first")
+    with pytest.raises(InvariantError, match="D_type must be"):
+        from_invariants_order4(11, 3, 2, 1, 3, 8, 0, 1, "third")
 
 
 def test_aas_relations_worked():
@@ -159,7 +174,10 @@ def test_euler_formula_order6_coefficients():
 
 
 def test_euler_formula_rejects_bad_order_or_arity():
-    with pytest.raises(ValueError):
+    # the parser refuses an unsupported order before any formula runs
+    with pytest.raises(cli.SchemaError, match="unsupported order 5"):
+        cli.run_text(json.dumps({"order": 5, "invariants": {}}))
+    with pytest.raises(KeyError):
         euler_formula(5, (1,))
     with pytest.raises(ValueError):
         euler_formula(4, (1,))

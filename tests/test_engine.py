@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from bvhodge import (
+    CurveOrbit,
     EigenspaceDims,
     InvariantError,
     K3Config,
@@ -13,15 +19,16 @@ from bvhodge import (
     SubgroupFixedRecord,
     cli,
     crosscheck,
-    engine,
     from_invariants_order2,
     from_invariants_order3,
     from_invariants_order4,
     from_invariants_order6,
     orbifold_euler_pairsum,
     orbifold_hodge_diamond,
+    validate,
 )
 from bvhodge.closed_forms import euler_formula
+from bvhodge.cyclic import LocalAction, age, power_transport
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic, invariant_diamond, kunneth_character_product
@@ -131,15 +138,58 @@ def test_sector_errors_are_not_memoised():
     for _ in range(2):
         with pytest.raises(ValueError, match="non-crepant"):
             sector_contribution(cfg, 1)
-    assert (4, 1, 1, 1) not in engine._POINT_LOCAL
 
 
-def test_point_local_memo_stays_within_its_residues():
-    # one key per (order, power, both type exponents mod the order)
-    for order in (2, 3, 4, 6):
-        for sample in samples(order, 500):
-            orbifold_hodge_diamond(sample.config)
-    assert 0 < len(engine._POINT_LOCAL) <= sum((n - 1) * n * n for n in (2, 3, 4, 6)) == 250
+#: valid eigenspace dimensions per order, for configurations built around one orbit
+VALID_DIMS = {2: (10, 12), 3: (4, 9, 9), 4: (11, 3, 5, 3), 6: (2, 4, 4, 4, 4, 4)}
+
+
+def _one_orbit_config(n, r, curves=(), points=()):
+    """A configuration whose only record is the subgroup generated by the r-th power."""
+    rec = SubgroupFixedRecord(n // gcd(r, n), curves, points)
+    return K3Config(n, EigenspaceDims(n, VALID_DIMS[n]), (rec,))
+
+
+def test_point_ages_match_the_cyclic_oracle():
+    # every (order, power, both type exponents mod the order): the engine's integer
+    # age against the Fraction age of the local action in bvhodge.cyclic
+    keys = [(n, r, t1, t2) for n in (2, 3, 4, 6) for r in range(1, n)
+            for t1 in range(n) for t2 in range(n)]
+    assert len(keys) == 250
+    accepted = 0
+    for n, r, t1, t2 in keys:
+        cfg = _one_orbit_config(n, r, points=(PointOrbit((t1, t2)),))
+        u = r // gcd(r, n)
+        local = LocalAction(n, power_transport(LocalAction(n, (t1, t2)), u).exponents + (n - r,))
+        valid = validate(cfg) == []
+        accepted += valid
+        if age(local) in (1, 2):
+            (component,) = sector_contribution(cfg, r).components
+            assert (component.exponents, component.age) == (local.exponents, age(local))
+        else:
+            assert not valid, (n, r, t1, t2)
+            with pytest.raises(ValueError, match="non-crepant"):
+                sector_contribution(cfg, r)
+    assert accepted == 16
+
+
+def test_curve_exponents_have_age_one():
+    for n in (2, 3, 4, 6):
+        for r in range(1, n):
+            cfg = _one_orbit_config(n, r, curves=(CurveOrbit(genus=2),))
+            (component,) = sector_contribution(cfg, r).components
+            assert component.exponents == (0, r, n - r)
+            assert component.age == age(LocalAction(n, component.exponents)) == 1
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # ages are integer sums; bvhodge.cyclic and its Fraction stay a test oracle
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, bvhodge.cli; "
+            "print(sorted({'bvhodge.cyclic', 'fractions', 'decimal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_sector_curve_ages_always_one():

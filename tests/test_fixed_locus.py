@@ -120,6 +120,35 @@ def test_validate_is_structural_only():
     assert validate(genus2) == []
 
 
+def test_validate_refuses_non_integer_fields():
+    # a hand-built configuration keeps what it is given, and validate names each
+    # field that is not an int instead of rounding it or letting a float through
+    dims2, dims3 = EigenspaceDims(2, (10, 12)), EigenspaceDims(3, (4, 9, 9))
+    cases = [
+        (K3Config(2, dims2, (SubgroupFixedRecord(2, (CurveOrbit(genus=1.5),)),)),
+         ["subgroup[2].curves[0].genus", "subgroup[2].curves[0].quotient_genus"]),
+        (K3Config(3, dims3, (SubgroupFixedRecord(3, points=(PointOrbit((2.9, 2)),)),)),
+         ["subgroup[3].points[0].type[0]"]),
+        (K3Config(2, EigenspaceDims(2, (10.7, 11.9)), ()),
+         ["eigenspace_dims[0]", "eigenspace_dims[1]"]),
+        (K3Config(2, dims2, (SubgroupFixedRecord(2, (CurveOrbit(genus=1, count=True),)),)),
+         ["subgroup[2].curves[0].count"]),
+        (K3Config(2, dims2, (SubgroupFixedRecord(2, (CurveOrbit(1, char_dims=(1.0, 0)),)),)),
+         ["subgroup[2].curves[0].char_dims[0]"]),
+        (K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (SubgroupFixedRecord(2, (
+            CurveOrbit(genus=1, residual_order=2, quotient_genus=0.0),)),)),
+         ["subgroup[2].curves[0].quotient_genus"]),
+        (K3Config(2, dims2, (SubgroupFixedRecord(2.0),)), ["subgroup[2.0].order"]),
+    ]
+    for cfg, fields in cases:
+        assert [v.where for v in validate(cfg)] == fields
+        assert all("expected an integer" in v.message for v in validate(cfg))
+    assert cases[1][0].records[0].points[0].type_exponents == (2.9, 2)
+    assert cases[2][0].eigenspace.dims == (10.7, 11.9)
+    with pytest.raises(ValueError, match="unsupported order 2.0"):
+        K3Config(2.0, dims2, ())
+
+
 def test_validate_orbit_size_divisibility():
     rec = SubgroupFixedRecord(2, curves=(CurveOrbit(genus=0, orbit_size=3),))
     cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
