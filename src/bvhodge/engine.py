@@ -16,13 +16,16 @@ disjoint union of products (curve or point on the K3 side) x (fixed point on
 the elliptic side); the group permutes these components and acts on their
 cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
-per-order weights, and its age shifts them diagonally: a curve has local
-exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
-(u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
+per-order weights, which are read once at import from the orbit sizes of
+:data:`bvhodge.fixed_locus.ELLIPTIC_ORBITS`; its age shifts them
+diagonally.  A curve has local exponents (0, r, n - r) and age 1, a point
+of type (t1, t2) has exponents (u*t1, u*t2, n - r) mod n, u = r/gcd(r, n),
+and age their sum over n.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
-built by hand is checked with :func:`bvhodge.fixed_locus.validate` first.
+built by hand is checked with :func:`bvhodge.fixed_locus.validate` first,
+which is also where the character split of each curve is checked.
 Past that, the engine only adds, multiplies and compares the numbers of
 the data, with one checked exact division in the pair sum; it converts
 none of them and uses no floats.
@@ -36,17 +39,17 @@ from typing import Optional, Union
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
 from .fixed_locus import (
+    ELLIPTIC_ORBITS,
     SUPPORTED_ORDERS,
     CurveOrbit,
     InvariantError,
     K3Config,
     PointOrbit,
     curve_character_dims,
-    elliptic_fixture,
     euler_fixed_set,
     validate,
 )
-from .hodge import CharacterVector, HodgeDiamond, euler_characteristic
+from .hodge import HodgeDiamond, euler_characteristic
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -56,7 +59,7 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _delta(n: int, j: int) -> tuple[int, ...]:
-    return CharacterVector.delta(n, j).c
+    return tuple(int(i == j % n) for i in range(n))
 
 
 #: (p, q, characters) of H^0, H^4, H^{2,0} and H^{0,2} of the K3 surface:
@@ -80,14 +83,13 @@ def _sector_weights(n: int) -> dict:
     ``sum_j chars[j] * w[j]`` invariants.  Permutation characters are real,
     so the conjugate characters give the same count.
     """
-    fixture = elliptic_fixture(n)
     out = {}
-    for d, _ in fixture.orbits:
-        e_vec = fixture.char_vector(d).c
+    for d, sizes in ELLIPTIC_ORBITS[n].items():
+        # an orbit of `size` points carries once each character that is a multiple of n/size
+        e_vec = [sum(i % (n // size) == 0 for size in sizes) for i in range(n)]
         for s in (s for s in range(1, n + 1) if n % s == 0):
-            perm = CharacterVector.orbit(n, s).c
             # character i of the orbit times character j pairs with -(i + j) on E
-            out[d, s] = tuple(sum(perm[i] * e_vec[(-i - j) % n] for i in range(n))
+            out[d, s] = tuple(sum(e_vec[(-i - j) % n] for i in range(0, n, n // s))
                               for j in range(n))
     return out
 
@@ -99,14 +101,9 @@ def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
     of g^c on E, with c = gcd(j, k, n); the weight of c adds those point
     counts over its pairs.  e(E) = 0 kills the identity class.
     """
-    fixture = elliptic_fixture(n)
-    weights: dict[int, int] = {}
-    for j in range(n):
-        for k in range(n):
-            c = gcd(j, k, n) % n
-            if c:
-                weights[c] = weights.get(c, 0) + fixture.point_count(n // c)
-    return tuple(sorted(weights.items()))
+    classes = [gcd(j, k, n) for j in range(n) for k in range(n)]
+    return tuple((c, classes.count(c) * sum(ELLIPTIC_ORBITS[n][n // c]))
+                 for c in sorted(set(classes)) if c != n)
 
 
 _SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
@@ -207,7 +204,7 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
     components = []
     for curve in record.curves:
         w = weights[d, curve.orbit_size]
-        forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n).c, w))
+        forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n), w))
         h0 = curve.count * w[0]
         entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
         components.append(SectorComponent("curve", curve, (0, r, n - r), 1, entries))

@@ -4,7 +4,9 @@ A configuration consists of the eigenspace dimensions of the action on
 H^2(S) together with, for every subgroup of C_n of order d > 1, the fixed
 locus of that subgroup described as orbits of curves and of isolated points
 under the full cyclic group.  The elliptic-curve side of the quotient is
-rigid per order and is shipped as a hardcoded fixture.
+rigid per order and is the data table :data:`ELLIPTIC_ORBITS`.  Every
+structural rule lives in :func:`validate`; the helpers that read a
+configuration assume it passed.
 
 Curve orbits carry the residual action of their stabilizer (the stabilizer
 modulo the subgroup fixing the curve pointwise), which is what acts on the
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
-
-from .hodge import CharacterVector
 
 SUPPORTED_ORDERS = (2, 3, 4, 6)
 
@@ -147,95 +147,32 @@ class K3Config:
         return SubgroupFixedRecord(subgroup_order)
 
 
-@dataclass(frozen=True)
-class EllipticFixture:
-    """Fixed points of each subgroup on the elliptic side, as orbit sizes.
-
-    The automorphism of E of order n is rigid, so the orbit data is fully
-    determined by n.
-    """
-
-    n: int
-    orbits: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def orbit_sizes(self, subgroup_order: int) -> tuple[int, ...]:
-        for d, sizes in self.orbits:
-            if d == subgroup_order:
-                return sizes
-        raise ValueError(f"no fixture data for subgroup order {subgroup_order}")
-
-    def point_count(self, subgroup_order: int) -> int:
-        return sum(self.orbit_sizes(subgroup_order))
-
-    def char_vector(self, subgroup_order: int) -> CharacterVector:
-        """Permutation character of C_n on the fixed points of the subgroup."""
-        vec = CharacterVector.zero(self.n)
-        for size in self.orbit_sizes(subgroup_order):
-            vec = vec + CharacterVector.orbit(self.n, size)
-        return vec
-
-
-_ELLIPTIC_ORBITS = {
-    2: ((2, (1, 1, 1, 1)),),
-    3: ((3, (1, 1, 1)),),
-    4: ((4, (1, 1)), (2, (1, 1, 2))),
-    6: ((6, (1,)), (3, (1, 2)), (2, (1, 3))),
+#: ``ELLIPTIC_ORBITS[n][d]``: the orbit sizes under C_n of the fixed points on E
+#: of the subgroup of order d; the order-n automorphism of E is rigid
+ELLIPTIC_ORBITS = {
+    2: {2: (1, 1, 1, 1)},
+    3: {3: (1, 1, 1)},
+    4: {4: (1, 1), 2: (1, 1, 2)},
+    6: {6: (1,), 3: (1, 2), 2: (1, 3)},
 }
 
 
-def elliptic_fixture(n: int) -> EllipticFixture:
-    """Hardcoded fixed-point data of the order-n elliptic automorphism."""
-    if n not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported order {n}; supported: {SUPPORTED_ORDERS}")
-    return EllipticFixture(n, _ELLIPTIC_ORBITS[n])
-
-
-def curve_character_dims(curve: CurveOrbit, n: int) -> CharacterVector:
-    """Character split of H^{1,0} of one orbit member under its residual action.
+def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:
+    """Character split of H^{1,0} of one member of a validated curve orbit.
 
     The residual group of order rho embeds into C_n as the subgroup generated
     by the character index n/rho, so the split is reported directly in C_n
-    characters.  Without an explicit override the non-invariant part is
-    distributed in the unique symmetric way; for rho = 3 an odd non-invariant
-    dimension has no symmetric split and requires ``char_dims``.
+    characters: ``char_dims`` when given, else the quotient genus at
+    character 0 and the rest spread evenly over the other multiples of n/rho,
+    which :func:`validate` has checked to be possible.
     """
-    rho = curve.residual_order
-    g, gq = curve.genus, curve.quotient_genus
-    if gq is None:
-        raise ValueError("quotient_genus is required when residual_order > 1")
     if curve.char_dims is not None:
-        vec = CharacterVector(n, curve.char_dims)
-        if vec.total() != g:
-            raise ValueError(f"explicit char_dims must sum to the genus {g}")
-        if vec.c[0] != gq:
-            raise ValueError(f"explicit char_dims must have quotient genus {gq} at character 0")
-        if rho < 1 or n % rho:
-            raise ValueError(f"residual order {rho} does not divide {n}")
-        step = n // rho
-        if any(m and j % step for j, m in enumerate(vec.c)):
-            raise ValueError(f"explicit char_dims supported only on multiples of {step}")
-        return vec
-    if rho == 1:
-        return CharacterVector.delta(n, 0, g) if g else CharacterVector.zero(n)
-    if rho == 2:
-        if n % 2:
-            raise ValueError(f"residual order 2 does not divide {n}")
-        c = [0] * n
-        c[0], c[n // 2] = gq, g - gq
-        return CharacterVector(n, tuple(c))
-    if rho == 3:
-        if n % 3:
-            raise ValueError(f"residual order 3 does not divide {n}")
-        rest = g - gq
-        if rest % 2:
-            raise ValueError(
-                "odd non-invariant dimension under a residual order-3 action "
-                "has no balanced split; supply char_dims explicitly"
-            )
-        c = [0] * n
-        c[0], c[n // 3], c[2 * n // 3] = gq, rest // 2, rest // 2
-        return CharacterVector(n, tuple(c))
-    raise ValueError(f"unsupported residual order {rho}")
+        return curve.char_dims
+    rho, gq = curve.residual_order, curve.quotient_genus
+    c = [gq] + [0] * (n - 1)
+    for t in range(1, rho):
+        c[t * n // rho] = (curve.genus - gq) // (rho - 1)
+    return tuple(c)
 
 
 def euler_fixed_set(cfg: K3Config, j: int) -> int:
@@ -319,7 +256,7 @@ def _validate_records(cfg: K3Config, out: list):
                 out.append(Violation(w, "genus must be nonnegative"))
                 continue
             rho = c.residual_order
-            if rho < 1 or rho not in (1, 2, 3):
+            if rho not in (1, 2, 3):
                 out.append(Violation(w, f"residual order {rho} not supported (1, 2 or 3)"))
                 continue
             if n % (c.orbit_size * rho * d):
@@ -338,15 +275,31 @@ def _validate_records(cfg: K3Config, out: list):
             gq_in_range = 0 <= gq <= c.genus
             if not gq_in_range:
                 out.append(Violation(w, f"quotient genus must lie in 0..{c.genus}"))
-            # the engine splits the 1-forms of every residual order-3 curve,
-            # and the default split needs an even non-invariant dimension
-            if c.char_dims is not None or (rho == 3 and gq_in_range):
-                try:
-                    curve_character_dims(c, n)
-                except ValueError as exc:
-                    out.append(Violation(w, str(exc)))
+            dims = c.char_dims
+            if dims is None:
+                # the default split of a residual order-3 curve needs an even rest
+                if rho == 3 and gq_in_range and (c.genus - gq) % 2:
+                    out.append(Violation(w, "odd non-invariant dimension under a residual "
+                                            "order-3 action has no balanced split; supply "
+                                            "char_dims explicitly"))
+            elif len(dims) != n:
+                out.append(Violation(w, f"expected {n} multiplicities, got {len(dims)}"))
+            elif min(dims) < 0:
+                out.append(Violation(w, f"negative multiplicity in {dims}"))
+            elif sum(dims) != c.genus:
+                out.append(Violation(w, f"explicit char_dims must sum to the genus {c.genus}"))
+            elif dims[0] != gq:
+                out.append(Violation(w, f"explicit char_dims must have quotient genus {gq} "
+                                        "at character 0"))
+            elif any(m and j % (n // rho) for j, m in enumerate(dims)):
+                out.append(Violation(
+                    w, f"explicit char_dims supported only on multiples of {n // rho}"))
         for i, p in enumerate(rec.points):
             w = f"{where}.points[{i}]"
+            if len(p.type_exponents) != 2:
+                out.append(Violation(w + ".type", "expected a pair of exponents, "
+                                                  f"got {p.type_exponents!r}"))
+                continue
             t1, t2 = p.type_exponents
             if not type(t1) is type(t2) is type(p.orbit_size) is type(p.count) is int:
                 _ints(out, w, {".type[0]": t1, ".type[1]": t2,

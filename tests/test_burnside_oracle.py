@@ -1,7 +1,7 @@
 """Independent oracle for the sector invariants: Burnside trace averaging.
 
-The engine computes invariant dimensions by convolving character vectors and
-pairing them.  This oracle recomputes every component class from first
+The engine computes invariant dimensions by pairing character tuples with
+per-order weights.  This oracle recomputes every component class from first
 principles instead: the trace of each group power on the component sum is
 evaluated pointwise (a permuted component contributes nothing, a fixed one
 contributes its residual character sum), the products of the two factor
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from bvhodge.engine import sector_contribution
-from bvhodge.fixed_locus import curve_character_dims, elliptic_fixture
+from bvhodge.fixed_locus import ELLIPTIC_ORBITS, curve_character_dims
 from generators import samples
 
 
@@ -92,7 +92,7 @@ def oracle_component_dims(n, comp, e_sizes):
     fixed = [perm_trace(n, size, j) for j in range(n)]
     if comp.kind == "point":
         return {(0, 0): burnside_average(n, fixed, e_traces)}
-    dims = curve_character_dims(comp.source, n).c
+    dims = curve_character_dims(comp.source, n)
     conj = tuple(dims[(-t) % n] for t in range(n))
     forms = [fixed[j] * character_sum(n, dims, j) for j in range(n)]
     forms_bar = [fixed[j] * character_sum(n, conj, j) for j in range(n)]
@@ -108,7 +108,7 @@ def assert_sector_matches_oracle(config):
     n = config.n
     for j in range(1, n):
         sector = sector_contribution(config, j)
-        e_sizes = elliptic_fixture(n).orbit_sizes(n // gcd(j, n))
+        e_sizes = ELLIPTIC_ORBITS[n][n // gcd(j, n)]
         for comp in sector.components:
             expected = oracle_component_dims(n, comp, e_sizes)
             count = comp.source.count

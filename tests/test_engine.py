@@ -27,12 +27,14 @@ from bvhodge import (
     orbifold_hodge_diamond,
     validate,
 )
+from bvhodge import engine, hodge
 from bvhodge.closed_forms import euler_formula
 from bvhodge.cyclic import LocalAction, age, power_transport
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic, invariant_diamond, kunneth_character_product
 from generators import samples
+from test_fuzz import raw_form
 from test_hodge_algebra import e_table, k3_table
 
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
@@ -190,6 +192,31 @@ def test_cli_import_loads_no_rational_arithmetic():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout == "[]\n"
+
+
+EXIT0_FIXTURES = ("order2_empty_fixed_locus", "order2_two_curves", "order3_curve_and_point",
+                  "order4_first_type", "order6_elliptic_top_curve")
+
+
+def test_serving_path_builds_no_character_vector(monkeypatch):
+    # the engine computes on plain tuples; CharacterVector is left to the oracles
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("CharacterVector built on the serving path")
+
+    monkeypatch.setattr(hodge.CharacterVector, "__init__", refuse)
+    # F1 and F2 are elliptic curves of quotient genus 0, so their splits come as char_dims
+    split = from_invariants_order6(r=12, m=2, l=3, k=8, N=8, a=1, b=1, n_prime=2, p25=0,
+                                   p34=6, g_D=0, g_G=4, g_G_quot=2, g_F1=1, g_F1_quot=0,
+                                   g_F2=1, g_F2_quot=0)
+    assert any(c.char_dims for c in split.record(2).curves)
+    texts = [cli.load_fixture_text(name) for name in EXIT0_FIXTURES]
+    texts.append(json.dumps({"order": 6, "raw": raw_form(split)}))
+    for text in texts:
+        for fmt in ("text", "json"):
+            assert cli.run_text(text, fmt=fmt)[1] == cli.EXIT_OK
+    for n in (2, 3, 4, 6):  # and the per-order tables the engine builds at import
+        assert engine._sector_weights(n) == engine._SECTOR_WEIGHTS[n]
+        assert engine._pair_classes(n) == engine._PAIR_CLASSES[n]
 
 
 def test_sector_curve_ages_always_one():

@@ -1,5 +1,6 @@
-"""Fixtures, validation, Euler characteristics and the named constructors."""
+"""Elliptic orbits, validation, Euler characteristics and the named constructors."""
 
+import json
 from math import gcd
 
 import pytest
@@ -19,7 +20,14 @@ from bvhodge import (
     from_invariants_order6,
     validate,
 )
-from bvhodge.fixed_locus import curve_character_dims, elliptic_fixture, euler_fixed_set
+from bvhodge.cli import EXIT_INVALID, run_text
+from bvhodge.engine import _SECTOR_WEIGHTS
+from bvhodge.fixed_locus import (
+    ELLIPTIC_ORBITS,
+    SUPPORTED_ORDERS,
+    curve_character_dims,
+    euler_fixed_set,
+)
 from bvhodge.hodge import CharacterVector
 from generators import samples
 
@@ -32,45 +40,63 @@ def curves_in(record):
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
 
 
-# --- elliptic fixtures ------------------------------------------------------
+# --- elliptic orbits ---------------------------------------------------------
 
 def test_fixture_point_counts():
-    assert elliptic_fixture(2).point_count(2) == 4
-    assert elliptic_fixture(3).point_count(3) == 3
-    assert elliptic_fixture(4).point_count(4) == 2
-    assert elliptic_fixture(4).point_count(2) == 4
-    assert elliptic_fixture(6).point_count(6) == 1
-    assert elliptic_fixture(6).point_count(3) == 3
-    assert elliptic_fixture(6).point_count(2) == 4
+    counts = {(n, d): sum(sizes) for n in ELLIPTIC_ORBITS
+              for d, sizes in ELLIPTIC_ORBITS[n].items()}
+    assert counts == {(2, 2): 4, (3, 3): 3, (4, 4): 2, (4, 2): 4,
+                      (6, 6): 1, (6, 3): 3, (6, 2): 4}
 
 
 def test_fixture_orbit_structures():
-    assert elliptic_fixture(4).orbit_sizes(2) == (1, 1, 2)
-    assert elliptic_fixture(6).orbit_sizes(3) == (1, 2)
-    assert elliptic_fixture(6).orbit_sizes(2) == (1, 3)
+    assert ELLIPTIC_ORBITS[4][2] == (1, 1, 2)
+    assert ELLIPTIC_ORBITS[6][3] == (1, 2)
+    assert ELLIPTIC_ORBITS[6][2] == (1, 3)
+
+
+def elliptic_characters(n, d):
+    """Oracle: permutation character of C_n on the fixed points of the order-d subgroup."""
+    vec = CharacterVector.zero(n)
+    for size in ELLIPTIC_ORBITS[n][d]:
+        vec = vec + CharacterVector.orbit(n, size)
+    return vec
 
 
 def test_fixture_character_vectors():
-    assert elliptic_fixture(2).char_vector(2) == CharacterVector(2, (4, 0))
-    assert elliptic_fixture(4).char_vector(2) == CharacterVector(4, (3, 0, 1, 0))
-    assert elliptic_fixture(6).char_vector(2) == CharacterVector(6, (2, 0, 1, 0, 1, 0))
-    assert elliptic_fixture(6).char_vector(3) == CharacterVector(6, (2, 0, 0, 1, 0, 0))
+    assert elliptic_characters(2, 2) == CharacterVector(2, (4, 0))
+    assert elliptic_characters(4, 2) == CharacterVector(4, (3, 0, 1, 0))
+    assert elliptic_characters(6, 2) == CharacterVector(6, (2, 0, 1, 0, 1, 0))
+    assert elliptic_characters(6, 3) == CharacterVector(6, (2, 0, 0, 1, 0, 0))
 
 
 def test_fixture_character_totals_match_point_counts():
-    for n in (2, 3, 4, 6):
-        fixture = elliptic_fixture(n)
-        for d, sizes in fixture.orbits:
-            vec = fixture.char_vector(d)
-            assert vec.total() == sum(sizes) == fixture.point_count(d)
+    for n in SUPPORTED_ORDERS:
+        for d, sizes in ELLIPTIC_ORBITS[n].items():
+            vec = elliptic_characters(n, d)
+            assert vec.total() == sum(sizes)
             # one character per orbit at each multiple of n/size
             for size in sizes:
                 assert all(vec.c[t * (n // size)] >= 1 for t in range(size))
 
 
-def test_fixture_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        elliptic_fixture(5)
+def test_sector_weights_match_the_character_oracle():
+    # w[j] is character 0 of (orbit of s members) x (character j) x (E's fixed points)
+    for n in SUPPORTED_ORDERS:
+        assert {d for d, _ in _SECTOR_WEIGHTS[n]} == set(ELLIPTIC_ORBITS[n])
+        for (d, s), w in _SECTOR_WEIGHTS[n].items():
+            for j in range(n):
+                product = CharacterVector.orbit(n, s).convolve(
+                    CharacterVector.delta(n, j)).convolve(elliptic_characters(n, d))
+                assert w[j] == product.c[0], (n, d, s, j)
+
+
+def test_elliptic_orbits_cover_the_supported_orders():
+    assert set(ELLIPTIC_ORBITS) == set(SUPPORTED_ORDERS)
+    for n, table in ELLIPTIC_ORBITS.items():
+        # one entry per subgroup of order d > 1, orbit sizes dividing n
+        assert set(table) == {d for d in range(2, n + 1) if n % d == 0}
+        assert all(n % size == 0 for sizes in table.values() for size in sizes)
 
 
 # --- validation --------------------------------------------------------------
@@ -102,6 +128,44 @@ def test_validate_odd_order3_split_needs_char_dims():
     explicit = CurveOrbit(genus=2, residual_order=3, quotient_genus=1,
                           char_dims=(1, 0, 1, 0, 0, 0))
     assert validate(config(explicit)) == []
+
+
+def _odd_order3_curve_config(char_dims):
+    """Order 6 with one genus-2 curve of residual order 3 and quotient genus 1."""
+    curve = CurveOrbit(genus=2, residual_order=3, quotient_genus=1, char_dims=char_dims)
+    return K3Config(6, EigenspaceDims(6, (2, 4, 4, 4, 4, 4)),
+                    (SubgroupFixedRecord(2, (curve,)),))
+
+
+@pytest.mark.parametrize("char_dims, message", [
+    ((1, 0, 1, 0, 0), "expected 6 multiplicities, got 5"),
+    ((1, 0, 2, 0, -1, 0), "negative multiplicity in (1, 0, 2, 0, -1, 0)"),
+    ((1, 0, 2, 0, 0, 0), "explicit char_dims must sum to the genus 2"),
+    ((0, 0, 1, 0, 1, 0), "explicit char_dims must have quotient genus 1 at character 0"),
+    ((1, 1, 0, 0, 0, 0), "explicit char_dims supported only on multiples of 2"),
+])
+def test_validate_explicit_char_dims_rules(char_dims, message):
+    assert [str(v) for v in validate(_odd_order3_curve_config(char_dims))] == [
+        f"error: subgroup[2].curves[0]: {message}"]
+    # the same rule refuses the same record as a raw document
+    curve = {"genus": 2, "residual_order": 3, "quotient_genus": 1, "char_dims": list(char_dims)}
+    doc = {"order": 6, "raw": {"eigenspace_dims": [2, 4, 4, 4, 4, 4],
+                               "subgroups": [{"order": 2, "curves": [curve]}]}}
+    for fmt in ("text", "json"):
+        rendered, code = run_text(json.dumps(doc), fmt=fmt)
+        assert code == EXIT_INVALID
+        assert message in rendered
+
+
+def test_validate_refuses_point_type_of_wrong_arity():
+    # a hand-built point orbit may hold any number of exponents; validate names
+    # the field instead of failing to unpack it
+    for exponents in ((2, 2, 2), ()):
+        rec = SubgroupFixedRecord(3, points=(PointOrbit(exponents),))
+        cfg = K3Config(3, EigenspaceDims(3, (4, 9, 9)), (rec,))
+        assert [str(v) for v in validate(cfg)] == [
+            "error: subgroup[3].points[0].type: expected a pair of exponents, "
+            f"got {exponents!r}"]
 
 
 def test_validate_is_structural_only():
@@ -180,31 +244,32 @@ def test_euler_fixed_set_depends_only_on_gcd():
 # --- curve_character_dims -----------------------------------------------------
 
 def test_curve_dims_pointwise_fixed():
-    assert curve_character_dims(CurveOrbit(genus=1), 4) == CharacterVector(4, (1, 0, 0, 0))
+    assert curve_character_dims(CurveOrbit(genus=1), 4) == (1, 0, 0, 0)
 
 
 def test_curve_dims_rational_is_zero():
-    vec = curve_character_dims(CurveOrbit(genus=0, residual_order=2, quotient_genus=0), 4)
-    assert vec == CharacterVector.zero(4)
+    curve = CurveOrbit(genus=0, residual_order=2, quotient_genus=0)
+    assert curve_character_dims(curve, 4) == (0, 0, 0, 0)
 
 
 def test_curve_dims_balanced_order3_split():
     curve = CurveOrbit(genus=3, residual_order=3, quotient_genus=1)
-    assert curve_character_dims(curve, 6) == CharacterVector(6, (1, 0, 1, 0, 1, 0))
+    assert curve_character_dims(curve, 6) == (1, 0, 1, 0, 1, 0)
 
 
 def test_curve_dims_odd_split_needs_override():
-    curve = CurveOrbit(genus=2, residual_order=3, quotient_genus=1)
-    with pytest.raises(ValueError):
-        curve_character_dims(curve, 6)
+    # validate refuses the odd split without char_dims (see
+    # test_validate_odd_order3_split_needs_char_dims); the override is used as given
     explicit = CurveOrbit(genus=2, residual_order=3, quotient_genus=1,
                           char_dims=(1, 0, 1, 0, 0, 0))
-    assert curve_character_dims(explicit, 6) == CharacterVector(6, (1, 0, 1, 0, 0, 0))
+    assert curve_character_dims(explicit, 6) == (1, 0, 1, 0, 0, 0)
 
 
 def test_curve_dims_unsupported_residual_order():
-    with pytest.raises(ValueError):
-        curve_character_dims(CurveOrbit(genus=1, residual_order=4, quotient_genus=0), 4)
+    curve = CurveOrbit(genus=1, residual_order=4, quotient_genus=0)
+    cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (SubgroupFixedRecord(2, (curve,)),))
+    assert [str(v) for v in validate(cfg)] == [
+        "error: subgroup[2].curves[0]: residual order 4 not supported (1, 2 or 3)"]
 
 
 @given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from((1, 2, 3))))
@@ -215,9 +280,10 @@ def test_curve_dims_total_and_invariant_part(data):
     else:
         g = gq + (2 * g_extra if rho == 3 else g_extra)
     curve = CurveOrbit(genus=g, residual_order=rho, quotient_genus=gq)
-    vec = curve_character_dims(curve, 6)
-    assert vec.total() == g
-    assert vec.c[0] == gq
+    dims = curve_character_dims(curve, 6)
+    assert len(dims) == 6
+    assert sum(dims) == g
+    assert dims[0] == gq
 
 
 # --- constructors --------------------------------------------------------------
