@@ -6,10 +6,8 @@ validation failure, 3 cross-check mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from .engine import crosscheck
@@ -266,6 +264,7 @@ def emit(report: dict, fmt: str = "text") -> str:
 
 
 def _fixture_root():
+    from importlib import resources  # only the fixture options need it
     return resources.files("bvhodge").joinpath("fixtures")
 
 
@@ -309,6 +308,7 @@ def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, in
 
 
 def main(argv=None) -> int:
+    import argparse  # not on the path of run_text
     parser = argparse.ArgumentParser(
         prog="bvhodge",
         description="Hodge diamonds of crepant resolutions of (K3 x E)/C_n quotients, "
@@ -335,6 +335,10 @@ def main(argv=None) -> int:
             text = sys.stdin.read()
     except (OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError:
+        source = args.fixture or args.input or "<stdin>"
+        print(f"error: {source}: not valid UTF-8", file=sys.stderr)
         return EXIT_PARSE
 
     try:

@@ -8,21 +8,21 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .fixed_locus import K3_H2_DIM
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class HodgePair:
+class HodgePair(Record):
     """The two interesting Hodge numbers of a Calabi-Yau threefold."""
 
-    h11: int
-    h21: int
+    __slots__ = ("h11", "h21")
 
-    def __post_init__(self):
-        if self.h11 < 0 or self.h21 < 0:
+    def __init__(self, h11: int, h21: int):
+        setfield(self, "h11", h11)
+        setfield(self, "h21", h21)
+        if h11 < 0 or h21 < 0:
             raise ValueError("Hodge numbers are nonnegative")
 
 

@@ -13,36 +13,33 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record, setfield
 
-@dataclass(frozen=True)
-class GroupElement:
+
+class GroupElement(Record):
     """A residue j mod n, i.e. the j-th power of the fixed generator."""
 
-    n: int
-    j: int
+    __slots__ = ("n", "j")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be at least 1, got {self.n}")
-        object.__setattr__(self, "j", self.j % self.n)
+    def __init__(self, n: int, j: int):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
+        setfield(self, "n", n)
+        setfield(self, "j", j % n)
 
 
-@dataclass(frozen=True)
-class LocalAction:
+class LocalAction(Record):
     """Cotangent exponents of a linearized finite-order action at a point."""
 
-    n: int
-    exponents: tuple[int, ...]
+    __slots__ = ("n", "exponents")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be at least 1, got {self.n}")
-        object.__setattr__(
-            self, "exponents", tuple(int(e) % self.n for e in self.exponents)
-        )
+    def __init__(self, n: int, exponents: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
+        setfield(self, "n", n)
+        setfield(self, "exponents", tuple(int(e) % n for e in exponents))
 
 
 def age(action: LocalAction) -> Fraction:

@@ -33,7 +33,6 @@ none of them and uses no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
@@ -50,6 +49,7 @@ from .fixed_locus import (
     validate,
 )
 from .hodge import HodgeDiamond, euler_characteristic
+from .record import Record, setfield
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -143,19 +143,23 @@ def _table(entries) -> Table:
     return tuple(map(tuple, table))
 
 
-@dataclass(frozen=True)
-class SectorComponent:
+class SectorComponent(Record):
     """One class of components of a twisted sector, with its local exponents and age.
 
-    ``entries`` are the (p, q, value) triples the class adds to the diamond,
-    ``count`` times over and shifted by the age; ``table`` is built on read.
+    ``kind`` is "curve" or "point".  ``entries`` are the (p, q, value) triples
+    the class adds to the diamond, ``count`` times over and shifted by the age;
+    ``table`` is built on read.
     """
 
-    kind: str  # "curve" or "point"
-    source: Union[CurveOrbit, PointOrbit]
-    exponents: tuple[int, ...]
-    age: int
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ("kind", "source", "exponents", "age", "entries")
+
+    def __init__(self, kind: str, source: Union[CurveOrbit, PointOrbit],
+                 exponents: tuple[int, ...], age: int, entries: tuple[tuple[int, int, int], ...]):
+        setfield(self, "kind", kind)
+        setfield(self, "source", source)
+        setfield(self, "exponents", exponents)
+        setfield(self, "age", age)
+        setfield(self, "entries", entries)
 
     @property
     def table(self) -> Table:
@@ -166,13 +170,15 @@ class SectorComponent:
         return HodgeDiamond(3, self.table)
 
 
-@dataclass(frozen=True)
-class SectorContribution:
+class SectorContribution(Record):
     """Everything the sector of one nontrivial power of the generator adds."""
 
-    power: int
-    components: tuple[SectorComponent, ...]
-    table: Table
+    __slots__ = ("power", "components", "table")
+
+    def __init__(self, power: int, components: tuple[SectorComponent, ...], table: Table):
+        setfield(self, "power", power)
+        setfield(self, "components", components)
+        setfield(self, "table", table)
 
     @property
     def increment(self) -> HodgeDiamond:
@@ -257,30 +263,38 @@ def orbifold_euler_pairsum(cfg: K3Config) -> int:
     return total // n
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One cross-validation: status is 'pass', 'fail' or 'skipped'."""
 
-    name: str
-    status: str
-    lhs: Optional[int] = None
-    rhs: Optional[int] = None
+    __slots__ = ("name", "status", "lhs", "rhs")
+
+    def __init__(self, name: str, status: str, lhs: Optional[int] = None,
+                 rhs: Optional[int] = None):
+        setfield(self, "name", name)
+        setfield(self, "status", status)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    diamond: HodgeDiamond
-    h11: int
-    h21: int
-    euler_diamond: int
-    euler_pairsum: int
-    closed: Optional[HodgePair]
-    euler_closed: Optional[int]
-    checks: tuple[Check, ...]
+class CrosscheckReport(Record):
+    __slots__ = ("diamond", "h11", "h21", "euler_diamond", "euler_pairsum", "closed",
+                 "euler_closed", "checks")
+
+    def __init__(self, diamond: HodgeDiamond, h11: int, h21: int, euler_diamond: int,
+                 euler_pairsum: int, closed: Optional[HodgePair], euler_closed: Optional[int],
+                 checks: tuple[Check, ...]):
+        setfield(self, "diamond", diamond)
+        setfield(self, "h11", h11)
+        setfield(self, "h21", h21)
+        setfield(self, "euler_diamond", euler_diamond)
+        setfield(self, "euler_pairsum", euler_pairsum)
+        setfield(self, "closed", closed)
+        setfield(self, "euler_closed", euler_closed)
+        setfield(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

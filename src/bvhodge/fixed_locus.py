@@ -16,9 +16,10 @@ generator of their pointwise stabilizer, scaled to modulus n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
+
+from .record import Record, setfield
 
 SUPPORTED_ORDERS = (2, 3, 4, 6)
 
@@ -26,12 +27,14 @@ K3_EULER = 24
 K3_H2_DIM = 22
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One validation finding: where in the configuration, and what is wrong."""
 
-    where: str
-    message: str
+    __slots__ = ("where", "message")
+
+    def __init__(self, where: str, message: str):
+        setfield(self, "where", where)
+        setfield(self, "message", message)
 
     def __str__(self) -> str:
         return f"error: {self.where}: {self.message}"
@@ -45,21 +48,19 @@ class InvariantError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class EigenspaceDims:
+class EigenspaceDims(Record):
     """Dimensions d[j] of the eigenvalue exp(2*pi*i*j/n) on H^2(S)."""
 
-    n: int
-    dims: tuple[int, ...]
+    __slots__ = ("n", "dims")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
+    def __init__(self, n: int, dims: tuple[int, ...]):
+        setfield(self, "n", n)
+        setfield(self, "dims", tuple(dims))
         if len(self.dims) != self.n:
             raise ValueError(f"expected {self.n} eigenspace dimensions, got {len(self.dims)}")
 
 
-@dataclass(frozen=True)
-class CurveOrbit:
+class CurveOrbit(Record):
     """An orbit of pairwise disjoint fixed curves of one subgroup.
 
     ``orbit_size`` members, each of genus ``genus``, cyclically permuted by
@@ -71,47 +72,50 @@ class CurveOrbit:
     member under the residual action (length-n vector of multiplicities).
     """
 
-    genus: int
-    orbit_size: int = 1
-    residual_order: int = 1
-    quotient_genus: Optional[int] = None
-    char_dims: Optional[tuple[int, ...]] = None
-    count: int = 1
+    __slots__ = ("genus", "orbit_size", "residual_order", "quotient_genus", "char_dims", "count")
 
-    def __post_init__(self):
-        if self.residual_order == 1 and self.quotient_genus is None:
-            object.__setattr__(self, "quotient_genus", self.genus)
-        if self.char_dims is not None:
-            object.__setattr__(self, "char_dims", tuple(self.char_dims))
+    def __init__(self, genus: int, orbit_size: int = 1, residual_order: int = 1,
+                 quotient_genus: Optional[int] = None,
+                 char_dims: Optional[tuple[int, ...]] = None, count: int = 1):
+        if residual_order == 1 and quotient_genus is None:
+            quotient_genus = genus
+        setfield(self, "genus", genus)
+        setfield(self, "orbit_size", orbit_size)
+        setfield(self, "residual_order", residual_order)
+        setfield(self, "quotient_genus", quotient_genus)
+        setfield(self, "char_dims", None if char_dims is None else tuple(char_dims))
+        setfield(self, "count", count)
 
     def euler_members(self) -> int:
         """Euler characteristic of the full orbit times ``count``."""
         return self.count * self.orbit_size * (2 - 2 * self.genus)
 
 
-@dataclass(frozen=True)
-class PointOrbit:
+class PointOrbit(Record):
     """An orbit of isolated fixed points of one subgroup.
 
     ``type_exponents`` are the cotangent exponents of the generator of the
     pointwise-fixing subgroup at each member, scaled to modulus n.
     """
 
-    type_exponents: tuple[int, int]
-    orbit_size: int = 1
-    count: int = 1
+    __slots__ = ("type_exponents", "orbit_size", "count")
 
-    def __post_init__(self):
-        object.__setattr__(self, "type_exponents", tuple(self.type_exponents))
+    def __init__(self, type_exponents: tuple[int, int], orbit_size: int = 1, count: int = 1):
+        setfield(self, "type_exponents", tuple(type_exponents))
+        setfield(self, "orbit_size", orbit_size)
+        setfield(self, "count", count)
 
 
-@dataclass(frozen=True)
-class SubgroupFixedRecord:
+class SubgroupFixedRecord(Record):
     """Fixed locus of the subgroup of order ``subgroup_order``."""
 
-    subgroup_order: int
-    curves: tuple[CurveOrbit, ...] = ()
-    points: tuple[PointOrbit, ...] = ()
+    __slots__ = ("subgroup_order", "curves", "points")
+
+    def __init__(self, subgroup_order: int, curves: tuple[CurveOrbit, ...] = (),
+                 points: tuple[PointOrbit, ...] = ()):
+        setfield(self, "subgroup_order", subgroup_order)
+        setfield(self, "curves", curves)
+        setfield(self, "points", points)
 
     def point_count(self) -> int:
         return sum(p.count * p.orbit_size for p in self.points)
@@ -120,21 +124,23 @@ class SubgroupFixedRecord:
         return sum(c.euler_members() for c in self.curves) + self.point_count()
 
 
-@dataclass(frozen=True)
-class K3Config:
+class K3Config(Record):
     """Order, eigenspace dimensions, and one fixed-locus record per subgroup.
 
     ``invariants`` optionally remembers the named counts the configuration
     was built from; it is what allows the closed forms to be evaluated next
-    to the general engine.
+    to the general engine.  It takes no part in equality or hashing.
     """
 
-    n: int
-    eigenspace: EigenspaceDims
-    records: tuple[SubgroupFixedRecord, ...]
-    invariants: Optional[dict] = field(default=None, compare=False)
+    __slots__ = ("n", "eigenspace", "records", "invariants")
+    _compare = ("n", "eigenspace", "records")
 
-    def __post_init__(self):
+    def __init__(self, n: int, eigenspace: EigenspaceDims,
+                 records: tuple[SubgroupFixedRecord, ...], invariants: Optional[dict] = None):
+        setfield(self, "n", n)
+        setfield(self, "eigenspace", eigenspace)
+        setfield(self, "records", records)
+        setfield(self, "invariants", invariants)
         if not isinstance(self.n, int) or self.n not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported order {self.n}; supported: {SUPPORTED_ORDERS}")
         if self.eigenspace.n != self.n:

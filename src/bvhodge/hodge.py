@@ -17,29 +17,29 @@ signs but keep their entries as given, so a ``Fraction`` stays a ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
+
+from .record import Record, setfield
 
 
 class ModulusMismatch(ValueError):
     """Raised when combining character data over different cyclic groups."""
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class CharacterVector(Record):
     """Multiplicities ``c[j]`` of the characters of C_n in a representation.
 
     Index ``j`` stands for the character sending the fixed generator to
     exp(2*pi*i*j/n); all index arithmetic is mod n.
     """
 
-    n: int
-    c: tuple[int, ...]
+    __slots__ = ("n", "c")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be at least 1, got {self.n}")
-        object.__setattr__(self, "c", tuple(self.c))
+    def __init__(self, n: int, c: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
+        setfield(self, "n", n)
+        setfield(self, "c", tuple(c))
         if len(self.c) != self.n:
             raise ValueError(f"expected {self.n} multiplicities, got {len(self.c)}")
         if min(self.c) < 0:
@@ -94,20 +94,19 @@ class CharacterVector:
         return CharacterVector(n, tuple(out))
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Record):
     """Nonnegative bigraded dimension table ``table[p][q]``, 0 <= p,q <= d."""
 
-    d: int
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("d", "table")
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d: int, table: tuple[tuple[int, ...], ...]):
+        if d < 0:
             raise ValueError("dimension must be nonnegative")
-        rows = tuple(map(tuple, self.table))
-        object.__setattr__(self, "table", rows)
-        if len(rows) != self.d + 1 or set(map(len, rows)) != {self.d + 1}:
-            raise ValueError(f"table must be {self.d + 1} x {self.d + 1}")
+        rows = tuple(map(tuple, table))
+        setfield(self, "d", d)
+        setfield(self, "table", rows)
+        if len(rows) != d + 1 or set(map(len, rows)) != {d + 1}:
+            raise ValueError(f"table must be {d + 1} x {d + 1}")
         if min(map(min, rows)) < 0:
             raise ValueError("all entries must be nonnegative")
 
@@ -162,27 +161,25 @@ def euler_characteristic(diamond: HodgeDiamond) -> int:
     )
 
 
-@dataclass(frozen=True)
-class BigradedCharacterTable:
+class BigradedCharacterTable(Record):
     """A CharacterVector for every bidegree (p, q), 0 <= p,q <= d.
 
     Houses the eigenspace-refined cohomology of a variety with a C_n action;
     the invariant part of any bidegree is the character-0 slice.
     """
 
-    n: int
-    d: int
-    grid: tuple[tuple[CharacterVector, ...], ...]
+    __slots__ = ("n", "d", "grid")
 
-    def __post_init__(self):
-        if len(self.grid) != self.d + 1 or any(len(r) != self.d + 1 for r in self.grid):
-            raise ValueError(f"grid must be {self.d + 1} x {self.d + 1}")
-        for row in self.grid:
+    def __init__(self, n: int, d: int, grid: tuple[tuple[CharacterVector, ...], ...]):
+        setfield(self, "n", n)
+        setfield(self, "d", d)
+        setfield(self, "grid", grid)
+        if len(grid) != d + 1 or any(len(r) != d + 1 for r in grid):
+            raise ValueError(f"grid must be {d + 1} x {d + 1}")
+        for row in grid:
             for vec in row:
-                if vec.n != self.n:
-                    raise ModulusMismatch(
-                        f"modulus mismatch inside table: {vec.n} != {self.n}"
-                    )
+                if vec.n != n:
+                    raise ModulusMismatch(f"modulus mismatch inside table: {vec.n} != {n}")
 
     @classmethod
     def from_entries(

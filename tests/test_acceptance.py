@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail line
 of every criterion as it completes.
 """
 
-import dataclasses
 import json
 import time
 from math import gcd
@@ -12,6 +11,9 @@ from math import gcd
 import pytest
 
 from bvhodge import (
+    CurveOrbit,
+    K3Config,
+    SubgroupFixedRecord,
     cli,
     crosscheck,
     from_invariants_order2,
@@ -143,15 +145,15 @@ def _with_split(cfg, genus, quot, d1):
             records.append(rec)
             continue
         curves = tuple(
-            dataclasses.replace(
-                c, char_dims=tuple(
-                    {0: quot, 2: d1, 4: rest - d1}.get(i, 0) for i in range(6)))
+            CurveOrbit(c.genus, c.orbit_size, c.residual_order, c.quotient_genus,
+                       tuple({0: quot, 2: d1, 4: rest - d1}.get(i, 0) for i in range(6)),
+                       c.count)
             if c.residual_order == 3 and c.genus == genus and c.genus > c.quotient_genus
             else c
             for c in rec.curves
         )
-        records.append(dataclasses.replace(rec, curves=curves))
-    return dataclasses.replace(cfg, records=tuple(records))
+        records.append(SubgroupFixedRecord(rec.subgroup_order, curves, rec.points))
+    return K3Config(cfg.n, cfg.eigenspace, tuple(records), cfg.invariants)
 
 
 def test_criterion_7_structural_invariants(suites):

@@ -1,6 +1,10 @@
 """CLI behaviors beyond the acceptance contract: parsing, formats, flags."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -286,3 +290,39 @@ def test_main_no_checks_turns_inconsistent_fixture_green(capsys):
     assert code == cli.EXIT_CHECK
     code, _, _ = run_cli(capsys, "--fixture", "order3_inconsistent", "--no-checks")
     assert code == 0
+
+
+NOT_UTF8 = b'\xff\xfe{"order": 2}'
+
+
+def test_main_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "--input", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {path}: not valid UTF-8\n"
+
+
+def _cli_process(*args, stdin=b"", **env):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "bvhodge.cli", *args], input=stdin,
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src), **env})
+
+
+def test_cli_process_refuses_stdin_that_is_not_utf8():
+    done = _cli_process(stdin=NOT_UTF8, PYTHONIOENCODING="utf-8")
+    assert done.returncode == cli.EXIT_PARSE
+    assert done.stdout == b""
+    assert done.stderr == b"error: <stdin>: not valid UTF-8\n"
+
+
+def test_cli_process_lists_and_runs_fixtures():
+    done = _cli_process("--list-fixtures")
+    assert done.returncode == cli.EXIT_OK
+    assert done.stdout.decode().split() == cli.fixture_names()
+    done = _cli_process("--fixture", "order4_first_type", "--format", "json")
+    assert done.returncode == cli.EXIT_OK
+    assert done.stdout.decode() == cli.run_text(
+        cli.load_fixture_text("order4_first_type"), fmt="json")[0]

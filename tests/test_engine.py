@@ -1,6 +1,5 @@
 """The twisted-sector engine against hand-computed and closed-form values."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -194,6 +193,18 @@ def test_cli_import_loads_no_rational_arithmetic():
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_loads_the_whole_engine_and_no_startup_machinery():
+    # records are plain slotted classes; argparse and the fixture loader wait for main()
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, bvhodge.cli; print(sorted(m for m in sys.modules if m in "
+            "{'dataclasses', 'inspect', 'ast', 'argparse'} or m.startswith('bvhodge')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == str(["bvhodge", "bvhodge.cli", "bvhodge.closed_forms",
+                               "bvhodge.engine", "bvhodge.fixed_locus", "bvhodge.hodge",
+                               "bvhodge.record"]) + "\n"
+
+
 EXIT0_FIXTURES = ("order2_empty_fixed_locus", "order2_two_curves", "order3_curve_and_point",
                   "order4_first_type", "order6_elliptic_top_curve")
 
@@ -345,12 +356,13 @@ def _override_split(cfg, d1):
             records.append(rec)
             continue
         curves = tuple(
-            dataclasses.replace(c, char_dims=(1, 0, d1, 0, 2 - d1, 0))
+            CurveOrbit(c.genus, c.orbit_size, c.residual_order, c.quotient_genus,
+                       (1, 0, d1, 0, 2 - d1, 0), c.count)
             if c.genus == 3 else c
             for c in rec.curves
         )
-        records.append(dataclasses.replace(rec, curves=curves))
-    return dataclasses.replace(cfg, records=tuple(records))
+        records.append(SubgroupFixedRecord(rec.subgroup_order, curves, rec.points))
+    return K3Config(cfg.n, cfg.eigenspace, tuple(records), cfg.invariants)
 
 
 def test_balanced_split_override_is_output_neutral():
