@@ -64,11 +64,12 @@ def _need(doc: dict, key: str, path: str):
 _INT_BOUND = 10 ** 1000
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, key: str = "") -> int:
+    """``value`` as an integer field; an error names ``path + key``, joined only then."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}")
+        raise SchemaError(f"{path}{key}: expected an integer, got {value!r}")
     if not -_INT_BOUND < value < _INT_BOUND:
-        raise SchemaError(f"{path}: integer field too long")
+        raise SchemaError(f"{path}{key}: integer field too long")
     return value
 
 
@@ -180,7 +181,7 @@ def parse_config(doc: dict) -> K3Config:
                 raise SchemaError(f"invariants.D_type: expected 'first' or 'second', got {value!r}")
             kwargs[key] = value
         else:
-            kwargs[key] = _as_int(value, f"invariants.{key}")
+            kwargs[key] = _as_int(value, "invariants.", key)
     return _CONSTRUCTORS[order](**kwargs)
 
 
@@ -211,6 +212,12 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
 
 
+def _leaf_text(value) -> str:
+    """A JSON scalar or an empty container; json.dumps writes bools, floats, {} and []."""
+    write = _SCALARS.get(type(value))
+    return write(value) if write else json.dumps(value)
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value, byte for byte.
 
@@ -226,14 +233,43 @@ def _json_text(value, indent: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(
             write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner)
             for v in value) + indent + "]"
-    write = _SCALARS.get(type(value))
-    return write(value) if write else json.dumps(value)  # bools, floats, {} and []
+    return _leaf_text(value)
+
+
+_ROW = "[" + ",".join(["\n      {}"] * 4) + "\n    ]"
+_DIAMOND = "[" + ",".join(["\n    " + _ROW] * 4) + "\n  ]"
+_CHECK = ('{{\n      "lhs": {},\n      "name": {},\n      "rhs": {},\n      "status": {}'
+          '\n    }}')
+
+
+def _diamond_text(diamond) -> str:
+    top, upper, lower, bottom = diamond
+    return _DIAMOND.format(*top, *upper, *lower, *bottom)
+
+
+def _checks_text(checks) -> str:
+    if not checks:
+        return "[]"
+    return "[\n    " + ",\n    ".join(
+        _CHECK.format(_leaf_text(c["lhs"]), encode_basestring_ascii(c["name"]),
+                      _leaf_text(c["rhs"]), encode_basestring_ascii(c["status"]))
+        for c in checks) + "\n  ]"
+
+
+#: the writers of the report's fixed-shape values, unless they are None: a 4x4 table of
+#: ints, and a list of checks with int-or-None lhs and rhs
+_REPORT_WRITERS = {"diamond": _diamond_text, "checks": _checks_text}
 
 
 def emit(report: dict, fmt: str = "text") -> str:
-    """Render a report; 'text' draws the diamond, 'json' is stable and sorted."""
+    """Render a report shaped as :func:`run` makes it; 'text' draws the diamond, and
+    'json' equals ``json.dumps(report, indent=2, sort_keys=True)`` byte for byte."""
     if fmt == "json":
-        return _json_text(report) + "\n"
+        return "{\n  " + ",\n  ".join(
+            encode_basestring_ascii(k) + ": "
+            + (write(v) if (write := _SCALARS.get(type(v)) or _REPORT_WRITERS.get(k))
+               else _json_text(v, "\n  "))
+            for k, v in sorted(report.items())) + "\n}\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 

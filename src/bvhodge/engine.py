@@ -208,12 +208,17 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
     weights = _SECTOR_WEIGHTS[n]
     record = cfg.record(d)
     components = []
+    # h^{a,a} at index a of diag, and h21 = h12: the only cells a sector touches
+    diag, h21 = [0, 0, 0], 0
     for curve in record.curves:
         w = weights[d, curve.orbit_size]
         forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n), w))
         h0 = curve.count * w[0]
         entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
         components.append(SectorComponent("curve", curve, (0, r, n - r), 1, entries))
+        diag[1] += h0
+        diag[2] += h0
+        h21 += forms
     u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
     for point in record.points:
         t1, t2 = point.type_exponents
@@ -221,9 +226,10 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
         a, rest = divmod(sum(exponents), n)
         if rest or a not in (1, 2):
             raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
-        entries = ((a, a, point.count * weights[d, point.orbit_size][0]),)
-        components.append(SectorComponent("point", point, exponents, a, entries))
-    total = _table(e for component in components for e in component.entries)
+        h0 = point.count * weights[d, point.orbit_size][0]
+        components.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
+        diag[a] += h0
+    total = ((0, 0, 0, 0), (0, diag[1], h21, 0), (0, h21, diag[2], 0), (0, 0, 0, 0))
     return SectorContribution(r, tuple(components), total)
 
 
@@ -234,16 +240,18 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
     internal inconsistency and is raised, not returned.
     """
-    tables = [untwisted_diamond(cfg).table]
-    tables += [sector_contribution(cfg, r).table for r in range(1, cfg.n)]
-    diamond = HodgeDiamond(3, tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables)))
-    frame = [
-        diamond.entry(0, 0) == 1, diamond.entry(3, 3) == 1,
-        diamond.entry(3, 0) == 1, diamond.entry(0, 3) == 1,
-        diamond.entry(1, 0) == 0, diamond.entry(0, 1) == 0,
-        diamond.entry(2, 0) == 0, diamond.entry(0, 2) == 0,
-    ]
-    if not (all(frame) and diamond.is_pq_symmetric() and diamond.is_self_dual()):
+    table = list(map(list, untwisted_diamond(cfg).table))
+    for r in range(1, cfg.n):
+        (_, (_, h11, h12, _), (_, h21, h22, _), _) = sector_contribution(cfg, r).table
+        table[1][1] += h11
+        table[1][2] += h12
+        table[2][1] += h21
+        table[2][2] += h22
+    diamond = HodgeDiamond(3, table)
+    t = diamond.table
+    if not (t[0][0] == t[3][3] == t[3][0] == t[0][3] == 1
+            and t[1][0] == t[0][1] == t[2][0] == t[0][2] == 0
+            and diamond.is_pq_symmetric() and diamond.is_self_dual()):
         raise RuntimeError(f"internal consistency failure: malformed diamond {diamond.table}")
     return diamond
 
@@ -327,8 +335,7 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     closed = e_closed = None
     if cfg.invariants is not None:
         closed = closed_form_pair(cfg.n, cfg.invariants)
-        classes = sorted({gcd(r, cfg.n) for r in range(1, cfg.n)})
-        e_closed = euler_formula(cfg.n, [euler_fixed_set(cfg, c) for c in classes])
+        e_closed = euler_formula(cfg.n, [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[cfg.n]])
         checks.append(_check("closed_form_h11", h11, closed.h11))
         checks.append(_check("closed_form_h21", h21, closed.h21))
         checks.append(_check("closed_form_euler", e_pair, e_closed))

@@ -47,6 +47,9 @@ class InvariantError(ValueError):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
+    def __reduce__(self):  # pickle and copy rebuild the error from its violations
+        return type(self), (self.violations,)
+
 
 class EigenspaceDims(Record):
     """Dimensions d[j] of the eigenvalue exp(2*pi*i*j/n) on H^2(S)."""
@@ -249,7 +252,8 @@ def _validate_records(cfg: K3Config, out: list):
             gq = c.quotient_genus  # may be unset: reported below when it is required
             # the quick test passes for most curves, which then build no field names
             quick = (type(c.genus) is type(c.orbit_size) is type(c.residual_order)
-                     is type(c.count) is type(gq) is int and c.char_dims is None)
+                     is type(c.count) is type(gq) is int
+                     and (c.char_dims is None or {*map(type, c.char_dims)} <= {int}))
             if not quick and not _ints(out, w, {
                     ".genus": c.genus, ".count": c.count, ".residual_order": c.residual_order,
                     ".orbit_size": c.orbit_size, ".quotient_genus": 0 if gq is None else gq,

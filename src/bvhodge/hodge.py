@@ -115,20 +115,11 @@ class HodgeDiamond(Record):
 
     def is_pq_symmetric(self) -> bool:
         """h^{p,q} = h^{q,p}.  Holds for Kaehler-type diamonds only."""
-        return all(
-            self.table[p][q] == self.table[q][p]
-            for p in range(self.d + 1)
-            for q in range(self.d + 1)
-        )
+        return tuple(zip(*self.table)) == self.table
 
     def is_self_dual(self) -> bool:
         """h^{p,q} = h^{d-p,d-q}."""
-        d = self.d
-        return all(
-            self.table[p][q] == self.table[d - p][d - q]
-            for p in range(d + 1)
-            for q in range(d + 1)
-        )
+        return tuple(row[::-1] for row in reversed(self.table)) == self.table
 
     def pictogram(self) -> str:
         """Diamond-shaped rendering; see :func:`pictogram`."""
@@ -154,11 +145,9 @@ def pictogram(table) -> str:
 
 def euler_characteristic(diamond: HodgeDiamond) -> int:
     """Alternating sum sum_{p,q} (-1)^{p+q} h^{p,q}."""
-    return sum(
-        (-1) ** (p + q) * diamond.table[p][q]
-        for p in range(diamond.d + 1)
-        for q in range(diamond.d + 1)
-    )
+    # row p adds its entries at q of the parity of p and takes away the others
+    return sum(sum(row[p % 2::2]) - sum(row[1 - p % 2::2])
+               for p, row in enumerate(diamond.table))
 
 
 class BigradedCharacterTable(Record):

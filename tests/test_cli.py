@@ -247,6 +247,54 @@ def test_json_writer_matches_the_standard_library(value):
     assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def _canonical(report):
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("checks", [True, False])
+def test_emit_writes_every_fixture_report_as_the_standard_library(monkeypatch, checks):
+    reports = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report)
+                        or emit(report, fmt))
+    for name in cli.fixture_names():
+        try:
+            cli.run_text(cli.load_fixture_text(name), fmt="json", checks=checks)
+        except json.JSONDecodeError:
+            assert name == "malformed"
+    assert len(reports) == len(cli.fixture_names()) - 1
+    assert {r["exit_code"] for r in reports} == ({0, 2, 3} if checks else {0, 2})
+    for report in reports:
+        assert emit(report, "json") == _canonical(report)
+
+
+CY_TABLE = [[1, 0, 0, 1], [0, 51, 9, 0], [0, 9, 51, 0], [1, 0, 0, 1]]
+HAND_BUILT = {
+    "order": 4, "config": {"order": 4, "raw": {"eigenspace_dims": [], "\u03a3 \"x\"": [{}]}},
+    "violations": [], "diamond": CY_TABLE, "engine": {"h11": 51, "h21": 9, "euler": 84},
+    "closed_form": None, "exit_code": 3,
+    "checks": [{"name": "euler_pairsum", "status": "pass", "lhs": 84, "rhs": 84},
+               {"name": "cy_relation", "status": "fail", "lhs": 9, "rhs": None},
+               {"name": "closed_form_h11", "status": "skipped", "lhs": None, "rhs": None},
+               {"name": "\u03a3 \"odd\"", "status": "fail", "lhs": None, "rhs": -3}],
+}
+LONG = 10 ** 999 + 7  # a thousand digits
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"checks": []},
+    {"checks": None, "closed_form": None},
+    {"diamond": None, "engine": None, "checks": None, "violations": ["error: x: y"],
+     "exit_code": 2},
+    {"diamond": [[LONG] * 4] * 4, "engine": {"h11": LONG, "h21": -LONG, "euler": 0},
+     "checks": [{"name": "cy_relation", "status": "fail", "lhs": -LONG, "rhs": LONG}]},
+], ids=["checks", "no-checks", "checks-off", "invalid", "long"])
+def test_emit_writes_hand_built_reports_as_the_standard_library(changes):
+    report = dict(HAND_BUILT, **changes)
+    assert cli.emit(report, "json") == _canonical(report)
+
+
 # --- main() ---------------------------------------------------------------------
 
 def test_main_reads_stdin(capsys, monkeypatch):

@@ -230,6 +230,74 @@ def test_serving_path_builds_no_character_vector(monkeypatch):
         assert engine._pair_classes(n) == engine._PAIR_CLASSES[n]
 
 
+def test_serving_path_builds_two_diamonds(monkeypatch):
+    # one for the untwisted part and one for the result, as the bench's HodgeDiamond.built reads
+    built = []
+    init = hodge.HodgeDiamond.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(hodge.HodgeDiamond, "__init__", counting)
+    for name in cli.fixture_names():
+        text = cli.load_fixture_text(name)
+        for fmt in ("text", "json"):
+            built.clear()
+            try:
+                code = cli.run_text(text, fmt=fmt)[1]
+            except json.JSONDecodeError:
+                continue
+            assert len(built) == (0 if code == cli.EXIT_INVALID else 2), name
+
+
+def _sector_configs():
+    """Every bundled fixture that parses, and sampled tuples of each order."""
+    configs = []
+    for name in cli.fixture_names():
+        try:
+            configs.append(cli.parse_config(json.loads(cli.load_fixture_text(name))))
+        except (ValueError, InvariantError):  # malformed JSON, schema or invariant errors
+            pass
+    for n in (2, 3, 4, 6):
+        configs += [s.config for s in samples(n, 40, seed=4242)]
+    return configs
+
+
+def test_sector_table_sums_its_components_entries():
+    # the sector sums its cells in place; the components keep the entries that explain them
+    for cfg in _sector_configs():
+        for j in range(1, cfg.n):
+            sector = sector_contribution(cfg, j)
+            entries = [e for component in sector.components for e in component.entries]
+            assert sector.table == engine._table(entries), (cfg, j)
+
+
+@pytest.mark.parametrize("where, cells", [
+    ("sector_contribution", [(1, 2)]),                    # h12 without its h21
+    ("sector_contribution", [(2, 2)]),                    # h22 without its h11
+    ("untwisted_diamond", [(1, 0), (0, 1), (2, 3), (3, 2)]),  # symmetric, frame broken
+    ("untwisted_diamond", [(0, 0), (3, 3)]),                  # corners of 2
+])
+def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, cells):
+    cfg = from_invariants_order4(**WORKED_ORDER4)
+    honest = getattr(engine, where)
+
+    def broken(cfg, *args):
+        part = honest(cfg, *args)
+        rows = [list(row) for row in part.table]
+        for p, q in cells:
+            rows[p][q] += 1
+        table = tuple(map(tuple, rows))
+        if where == "untwisted_diamond":
+            return hodge.HodgeDiamond(3, table)
+        return engine.SectorContribution(part.power, part.components, table)
+
+    monkeypatch.setattr(engine, where, broken)
+    with pytest.raises(RuntimeError, match="malformed diamond"):
+        orbifold_hodge_diamond(cfg)
+
+
 def test_sector_curve_ages_always_one():
     cfg = from_invariants_order6(**ORDER6_GD1)
     for j in range(1, 6):

@@ -157,6 +157,17 @@ def test_validate_explicit_char_dims_rules(char_dims, message):
         assert message in rendered
 
 
+@pytest.mark.parametrize("bad", [1.0, True])
+@pytest.mark.parametrize("j", [0, 2])
+def test_validate_names_a_char_dim_that_is_not_an_int(bad, j):
+    # all-int char_dims take the quick test; any other entry still gets its own path
+    dims = [1, 0, 1, 0, 0, 0]
+    dims[j] = bad
+    (violation,) = validate(_odd_order3_curve_config(tuple(dims)))
+    assert violation.where == f"subgroup[2].curves[0].char_dims[{j}]"
+    assert violation.message == f"expected an integer, got {bad!r}"
+
+
 def test_validate_refuses_point_type_of_wrong_arity():
     # a hand-built point orbit may hold any number of exponents; validate names
     # the field instead of failing to unpack it

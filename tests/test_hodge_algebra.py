@@ -211,6 +211,45 @@ def test_euler_characteristic_cy3():
     assert euler_characteristic(cy) == 2 * (51 - 9) == 84
 
 
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 10 ** 6), min_size=d + 1, max_size=d + 1),
+    min_size=d + 1, max_size=d + 1)))
+def test_euler_characteristic_is_the_alternating_double_sum(rows):
+    d = len(rows) - 1
+    assert euler_characteristic(HodgeDiamond(d, rows)) == sum(
+        (-1) ** (p + q) * rows[p][q] for p in range(d + 1) for q in range(d + 1))
+
+
+# --- symmetries -----------------------------------------------------------------
+
+CY = ((1, 0, 0, 1), (0, 51, 9, 0), (0, 9, 51, 0), (1, 0, 0, 1))
+
+
+def _with(table, cells):
+    """``table`` with 1 added at each (p, q) of ``cells``."""
+    rows = [list(row) for row in table]
+    for p, q in cells:
+        rows[p][q] += 1
+    return HodgeDiamond(len(rows) - 1, rows)
+
+
+def test_diamond_symmetries_hold_for_a_calabi_yau_diamond():
+    assert HodgeDiamond(3, CY).is_pq_symmetric() and HodgeDiamond(3, CY).is_self_dual()
+    both = _with(CY, [(1, 0), (0, 1), (2, 3), (3, 2)])  # symmetric, not a Calabi-Yau frame
+    assert both.is_pq_symmetric() and both.is_self_dual()
+
+
+@pytest.mark.parametrize("cells", [[(2, 1)], [(1, 2)], [(3, 0)], [(1, 0), (3, 2)]])
+def test_pq_symmetry_fails_when_one_side_moves(cells):
+    assert not _with(CY, cells).is_pq_symmetric()
+
+
+@pytest.mark.parametrize("cells", [[(1, 1)], [(2, 2)], [(0, 0)], [(1, 0), (0, 1)]])
+def test_self_duality_fails_on_a_pq_symmetric_diamond(cells):
+    diamond = _with(CY, cells)
+    assert diamond.is_pq_symmetric() and not diamond.is_self_dual()
+
+
 def test_diamond_rejects_negative_entries():
     with pytest.raises(ValueError):
         HodgeDiamond(1, ((0, -1), (0, 0)))

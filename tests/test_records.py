@@ -152,3 +152,17 @@ def test_pickle_and_copy_round_trips(value, how):
     assert repr(clone) == repr(value)  # the repr carries a config's invariants too
     if isinstance(value, K3Config):
         assert clone.invariants == value.invariants is not None
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_invariant_error_round_trips(how):
+    # an exception is not a record and compares by identity: its message and violations must
+    # survive, and pickling used to rebuild it from the message, one character per violation
+    with pytest.raises(InvariantError) as caught:
+        from_invariants_order3(r=2, m=10, k=0, n_points=0, g_C=0)
+    for error in (InvariantError([Violation("order3", "bad")]), caught.value):
+        clone = {"pickle": lambda v: pickle.loads(pickle.dumps(v)),
+                 "copy": copy.copy, "deepcopy": copy.deepcopy}[how](error)
+        assert type(clone) is InvariantError
+        assert clone.violations == error.violations
+        assert str(clone) == str(error) == "; ".join(map(str, error.violations))
