@@ -53,9 +53,26 @@ _CONSTRUCTORS = {
 }
 
 
-def _need(doc: dict, key: str, path: str):
+_INVARIANT_FIELDS = {n: frozenset(keys) for n, keys in _INVARIANT_KEYS.items()}
+_TOP_FIELDS = frozenset(("order", "invariants", "raw"))
+_RAW_FIELDS = frozenset(("eigenspace_dims", "subgroups"))
+_SUBGROUP_FIELDS = frozenset(("order", "curves", "points"))
+_CURVE_FIELDS = frozenset(("orbit_size", "genus", "residual_order", "quotient_genus",
+                           "char_dims", "count"))
+_POINT_FIELDS = frozenset(("orbit_size", "type", "count"))
+
+
+def _at(path, key="") -> str:
+    """``path`` and ``key`` joined: ``key`` is a suffix such as ".genus" or a list index,
+    and ``path`` a string or a (path, key) pair, so only an error message joins a path."""
+    if type(path) is tuple:
+        path = _at(*path)
+    return f"{path}[{key}]" if type(key) is int else path + key
+
+
+def _need(doc: dict, key: str, path):
     if key not in doc:
-        raise SchemaError(f"{path}.{key}: missing required field")
+        raise SchemaError(f"{_at(path)}.{key}: missing required field")
     return doc[key]
 
 
@@ -64,80 +81,76 @@ def _need(doc: dict, key: str, path: str):
 _INT_BOUND = 10 ** 1000
 
 
-def _as_int(value, path: str, key: str = "") -> int:
-    """``value`` as an integer field; an error names ``path + key``, joined only then."""
+def _as_int(value, path, key="") -> int:
+    """``value`` as an integer field; an error names the field ``(path, key)``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}{key}: expected an integer, got {value!r}")
+        raise SchemaError(f"{_at(path, key)}: expected an integer, got {value!r}")
     if not -_INT_BOUND < value < _INT_BOUND:
-        raise SchemaError(f"{path}{key}: integer field too long")
+        raise SchemaError(f"{_at(path, key)}: integer field too long")
     return value
 
 
-def _as_list(value, path: str) -> list:
+def _as_list(value, path, key="") -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected a list")
+        raise SchemaError(f"{_at(path, key)}: expected a list")
     return value
 
 
-def _no_extras(doc: dict, allowed, path: str):
-    extras = sorted(set(doc) - set(allowed))
-    if extras:
-        raise SchemaError(f"{path}: unknown fields {extras}")
+def _as_object(value, allowed: frozenset, path, key="") -> dict:
+    """``value`` as an object with no field outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{_at(path, key)}: expected an object")
+    if not value.keys() <= allowed:
+        raise SchemaError(f"{_at(path, key)}: unknown fields {sorted(value.keys() - allowed)}")
+    return value
 
 
-def _parse_curve(doc: dict, path: str) -> CurveOrbit:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
-    _no_extras(doc, ("orbit_size", "genus", "residual_order", "quotient_genus",
-                     "char_dims", "count"), path)
+def _parse_curve(doc: dict, path, key) -> CurveOrbit:
+    _as_object(doc, _CURVE_FIELDS, path, key)
+    here = path, key
     char_dims = doc.get("char_dims")
     if char_dims is not None:
-        char_dims = tuple(_as_int(v, f"{path}.char_dims[{i}]")
-                          for i, v in enumerate(_as_list(char_dims, f"{path}.char_dims")))
+        char_dims = tuple(_as_int(v, (here, ".char_dims"), i)
+                          for i, v in enumerate(_as_list(char_dims, here, ".char_dims")))
+    quotient_genus = doc.get("quotient_genus")
     return CurveOrbit(
-        genus=_as_int(_need(doc, "genus", path), f"{path}.genus"),
-        orbit_size=_as_int(doc.get("orbit_size", 1), f"{path}.orbit_size"),
-        residual_order=_as_int(doc.get("residual_order", 1), f"{path}.residual_order"),
-        quotient_genus=(None if doc.get("quotient_genus") is None
-                        else _as_int(doc["quotient_genus"], f"{path}.quotient_genus")),
-        char_dims=char_dims,
-        count=_as_int(doc.get("count", 1), f"{path}.count"),
+        _as_int(_need(doc, "genus", here), here, ".genus"),
+        _as_int(doc.get("orbit_size", 1), here, ".orbit_size"),
+        _as_int(doc.get("residual_order", 1), here, ".residual_order"),
+        None if quotient_genus is None else _as_int(quotient_genus, here, ".quotient_genus"),
+        char_dims,
+        _as_int(doc.get("count", 1), here, ".count"),
     )
 
 
-def _parse_point(doc: dict, path: str) -> PointOrbit:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
-    _no_extras(doc, ("orbit_size", "type", "count"), path)
-    ty = _need(doc, "type", path)
+def _parse_point(doc: dict, path, key) -> PointOrbit:
+    _as_object(doc, _POINT_FIELDS, path, key)
+    here = path, key
+    ty = _need(doc, "type", here)
     if not isinstance(ty, list) or len(ty) != 2:
-        raise SchemaError(f"{path}.type: expected a pair of exponents")
+        raise SchemaError(f"{_at(here)}.type: expected a pair of exponents")
     return PointOrbit(
-        type_exponents=(_as_int(ty[0], f"{path}.type[0]"), _as_int(ty[1], f"{path}.type[1]")),
-        orbit_size=_as_int(doc.get("orbit_size", 1), f"{path}.orbit_size"),
-        count=_as_int(doc.get("count", 1), f"{path}.count"),
+        (_as_int(ty[0], here, ".type[0]"), _as_int(ty[1], here, ".type[1]")),
+        _as_int(doc.get("orbit_size", 1), here, ".orbit_size"),
+        _as_int(doc.get("count", 1), here, ".count"),
     )
 
 
 def _parse_raw(order: int, doc: dict) -> K3Config:
-    if not isinstance(doc, dict):
-        raise SchemaError("raw: expected an object")
-    _no_extras(doc, ("eigenspace_dims", "subgroups"), "raw")
+    _as_object(doc, _RAW_FIELDS, "raw")
     dims = _as_list(_need(doc, "eigenspace_dims", "raw"), "raw.eigenspace_dims")
-    dims = tuple(_as_int(v, f"raw.eigenspace_dims[{i}]") for i, v in enumerate(dims))
+    dims = tuple(_as_int(v, "raw.eigenspace_dims", i) for i, v in enumerate(dims))
     if len(dims) != order:
         raise SchemaError(f"raw.eigenspace_dims: expected {order} entries, got {len(dims)}")
     records = []
     for i, sub in enumerate(_as_list(doc.get("subgroups", []), "raw.subgroups")):
-        path = f"raw.subgroups[{i}]"
-        if not isinstance(sub, dict):
-            raise SchemaError(f"{path}: expected an object")
-        _no_extras(sub, ("order", "curves", "points"), path)
-        d = _as_int(_need(sub, "order", path), f"{path}.order")
-        curves = tuple(_parse_curve(c, f"{path}.curves[{ci}]")
-                       for ci, c in enumerate(_as_list(sub.get("curves", []), f"{path}.curves")))
-        points = tuple(_parse_point(p, f"{path}.points[{pi}]")
-                       for pi, p in enumerate(_as_list(sub.get("points", []), f"{path}.points")))
+        _as_object(sub, _SUBGROUP_FIELDS, "raw.subgroups", i)
+        here = "raw.subgroups", i
+        d = _as_int(_need(sub, "order", here), here, ".order")
+        curves = tuple(_parse_curve(c, (here, ".curves"), ci) for ci, c in
+                       enumerate(_as_list(sub.get("curves", []), here, ".curves")))
+        points = tuple(_parse_point(p, (here, ".points"), pi) for pi, p in
+                       enumerate(_as_list(sub.get("points", []), here, ".points")))
         records.append(SubgroupFixedRecord(d, curves, points))
     return K3Config(order, EigenspaceDims(order, dims), tuple(records))
 
@@ -150,9 +163,7 @@ def parse_config(doc: dict) -> K3Config:
     a raw one from :func:`validate` here.  Nothing downstream validates
     again.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected an object")
-    _no_extras(doc, ("order", "invariants", "raw"), "top level")
+    _as_object(doc, _TOP_FIELDS, "top level")
     order = _as_int(_need(doc, "order", "top level"), "order")
     if order not in SUPPORTED_ORDERS:
         raise SchemaError(f"order: unsupported order {order}; supported: {list(SUPPORTED_ORDERS)}")
@@ -165,16 +176,12 @@ def parse_config(doc: dict) -> K3Config:
         if violations:
             raise InvariantError(violations)
         return cfg
-    inv = doc["invariants"]
-    if not isinstance(inv, dict):
-        raise SchemaError("invariants: expected an object")
-    keys = _INVARIANT_KEYS[order]
-    _no_extras(inv, keys, "invariants")
+    inv = _as_object(doc["invariants"], _INVARIANT_FIELDS[order], "invariants")
     kwargs = {}
-    for key in keys:
+    for key in _INVARIANT_KEYS[order]:
         value = _need(inv, key, "invariants")
         if key == "curve_genera":
-            kwargs[key] = [_as_int(v, f"invariants.curve_genera[{i}]")
+            kwargs[key] = [_as_int(v, "invariants.curve_genera", i)
                            for i, v in enumerate(_as_list(value, "invariants.curve_genera"))]
         elif key == "D_type":
             if value not in ("first", "second"):

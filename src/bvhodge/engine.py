@@ -34,6 +34,7 @@ none of them and uses no floats.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Optional, Union
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
@@ -210,12 +211,13 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
     components = []
     # h^{a,a} at index a of diag, and h21 = h12: the only cells a sector touches
     diag, h21 = [0, 0, 0], 0
+    curve_exponents = (0, r, n - r)
     for curve in record.curves:
         w = weights[d, curve.orbit_size]
-        forms = curve.count * sum(m * x for m, x in zip(curve_character_dims(curve, n), w))
+        forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
         h0 = curve.count * w[0]
         entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
-        components.append(SectorComponent("curve", curve, (0, r, n - r), 1, entries))
+        components.append(SectorComponent("curve", curve, curve_exponents, 1, entries))
         diag[1] += h0
         diag[2] += h0
         h21 += forms
@@ -288,6 +290,11 @@ class Check(Record):
         return self.status != "fail"
 
 
+#: the closed-form checks of a configuration without named invariants
+_SKIPPED_CLOSED_FORM = tuple(Check(name, "skipped") for name in
+                             ("closed_form_h11", "closed_form_h21", "closed_form_euler"))
+
+
 class CrosscheckReport(Record):
     __slots__ = ("diamond", "h11", "h21", "euler_diamond", "euler_pairsum", "closed",
                  "euler_closed", "checks")
@@ -340,8 +347,7 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
         checks.append(_check("closed_form_h21", h21, closed.h21))
         checks.append(_check("closed_form_euler", e_pair, e_closed))
     else:
-        checks.extend(Check(name, "skipped") for name in
-                      ("closed_form_h11", "closed_form_h21", "closed_form_euler"))
+        checks.extend(_SKIPPED_CLOSED_FORM)
     return CrosscheckReport(diamond, h11, h21, e_diamond, e_pair, closed, e_closed,
                             tuple(checks))
 

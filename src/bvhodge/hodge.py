@@ -134,13 +134,12 @@ def pictogram(table) -> str:
     h^{1,2} h^{0,3}.
     """
     d = len(table) - 1
-    width = max(len(str(v)) for row in table for v in row) + 2
-    lines = []
-    for k in range(2 * d + 1):
-        ps = [p for p in range(d, -1, -1) if 0 <= k - p <= d]
-        cells = "".join(str(table[p][k - p]).center(width) for p in ps)
-        lines.append(cells.center((2 * d + 1) * width).rstrip())
-    return "\n".join(lines)
+    cells = [list(map(str, row)) for row in table]
+    width = max(map(len, sum(cells, []))) + 2
+    return "\n".join(
+        "".join([cells[p][k - p].center(width) for p in range(min(k, d), max(k - d, 0) - 1, -1)])
+        .center((2 * d + 1) * width).rstrip()
+        for k in range(2 * d + 1))
 
 
 def euler_characteristic(diamond: HodgeDiamond) -> int:

@@ -60,3 +60,19 @@ def corollary_order6(r: int, m: int, l: int, b: int, a: int, n_prime: int,
     """
     return (-m + r + 2 - 2 * l - 2 * b - 2 * a + 3 * n_prime
             + p25 - p34 - 2 * n + 4 * g_D)
+
+
+def pictogram(table) -> str:
+    """Diamond-shaped rendering of a square table, row by row as first written.
+
+    The reference for :func:`bvhodge.hodge.pictogram`, which walks each row's
+    cells directly and converts each entry once.
+    """
+    d = len(table) - 1
+    width = max(len(str(v)) for row in table for v in row) + 2
+    lines = []
+    for k in range(2 * d + 1):
+        ps = [p for p in range(d, -1, -1) if 0 <= k - p <= d]
+        cells = "".join(str(table[p][k - p]).center(width) for p in ps)
+        lines.append(cells.center((2 * d + 1) * width).rstrip())
+    return "\n".join(lines)

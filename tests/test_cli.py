@@ -1,5 +1,6 @@
 """CLI behaviors beyond the acceptance contract: parsing, formats, flags."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -98,6 +99,12 @@ def test_parse_rejects_non_integer():
     doc = {"order": 2, "invariants": {"r": 9.5, "curve_genera": []}}
     with pytest.raises(cli.SchemaError, match="expected an integer"):
         cli.parse_config(doc)
+
+
+def test_each_constructor_takes_exactly_the_invariant_keys_in_order():
+    assert cli._CONSTRUCTORS.keys() == cli._INVARIANT_KEYS.keys()
+    for n, build in cli._CONSTRUCTORS.items():
+        assert tuple(inspect.signature(build).parameters) == cli._INVARIANT_KEYS[n], n
 
 
 # --- running and emitting ----------------------------------------------------------

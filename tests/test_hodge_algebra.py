@@ -1,5 +1,6 @@
 """Character vectors, diamonds, invariant pairings and the Kuenneth product."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from bvhodge.hodge import (
     euler_characteristic,
     invariant_diamond,
     kunneth_character_product,
+    pictogram,
 )
+from bvhodge import cli
+import oracles
 
 MODULI = (2, 3, 4, 6)
 
@@ -275,3 +279,28 @@ def test_value_types_keep_exact_entries_as_given():
 def test_value_types_reject_negative_entries_and_wrong_shapes(build):
     with pytest.raises(ValueError):
         build()
+
+
+square_tables = st.integers(1, 5).flatmap(lambda size: st.lists(
+    st.lists(st.integers(0, 10 ** 6), min_size=size, max_size=size),
+    min_size=size, max_size=size))
+
+
+@given(square_tables)
+def test_pictogram_matches_the_reference(table):
+    # entries of 1 to 7 digits give cells of odd and even width, where str.center breaks ties
+    assert pictogram(table) == oracles.pictogram(table)
+
+
+def test_pictogram_matches_the_reference_on_every_fixture_diamond():
+    diamonds = []
+    for name in cli.fixture_names():
+        try:
+            report = json.loads(cli.run_text(cli.load_fixture_text(name), fmt="json")[0])
+        except json.JSONDecodeError:
+            continue
+        if report["diamond"] is not None:
+            diamonds.append(report["diamond"])
+    assert diamonds
+    for table in diamonds:
+        assert pictogram(table) == oracles.pictogram(table)
