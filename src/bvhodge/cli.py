@@ -263,9 +263,41 @@ def _checks_text(checks) -> str:
         for c in checks) + "\n  ]"
 
 
+_TRIPLE = '{{\n    "euler": {euler},\n    "h11": {h11},\n    "h21": {h21}\n  }}'
+_TRIPLE_KEYS = frozenset(("euler", "h11", "h21"))
+_CONFIG_KEYS = frozenset(("invariants", "order"))
+#: per order, the config of a named document with its invariants as format fields
+_CONFIG_TEMPLATES = {n: '{{\n    "invariants": {{' + ",".join(
+    f"\n      {encode_basestring_ascii(k)}: {{{k}}}" for k in sorted(keys))
+    + f"\n    }}}},\n    \"order\": {n}\n  }}}}" for n, keys in _INVARIANT_KEYS.items()}
+
+
+def _triple_text(value) -> str:
+    """``engine`` or ``closed_form``: three ints from a template, any other shape as is."""
+    if (type(value) is dict and value.keys() == _TRIPLE_KEYS
+            and {*map(type, value.values())} == {int}):
+        return _TRIPLE.format_map(value)
+    return _json_text(value, "\n  ")
+
+
+def _config_text(config) -> str:
+    """A named document's config from the template of its order; any other shape as is."""
+    if type(config) is dict and config.keys() == _CONFIG_KEYS:
+        n, inv = config["order"], config["invariants"]
+        if type(n) is int and type(inv) is dict and inv.keys() == _INVARIANT_FIELDS.get(n):
+            if {*map(type, inv.values())} != {int}:  # ints format themselves as json.dumps does
+                inv = {k: write(v) if (write := _SCALARS.get(type(v)))
+                       else _json_text(v, "\n      ") for k, v in inv.items()}
+            return _CONFIG_TEMPLATES[n].format_map(inv)
+    return _json_text(config, "\n  ")
+
+
 #: the writers of the report's fixed-shape values, unless they are None: a 4x4 table of
-#: ints, and a list of checks with int-or-None lhs and rhs
-_REPORT_WRITERS = {"diamond": _diamond_text, "checks": _checks_text}
+#: ints and a list of checks with int-or-None lhs and rhs; the triples, the config and the
+#: violations take the general writer when their shape is not the one run() gives them
+_REPORT_WRITERS = {"diamond": _diamond_text, "checks": _checks_text, "engine": _triple_text,
+                   "closed_form": _triple_text, "config": _config_text,
+                   "violations": lambda v: "[]" if v == [] else _json_text(v, "\n  ")}
 
 
 def emit(report: dict, fmt: str = "text") -> str:

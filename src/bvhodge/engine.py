@@ -7,7 +7,9 @@ built for the untwisted part and one for the result, which is checked.
 The untwisted part pairs the five eigenspace entries (p, q, characters)
 of the K3 surface directly with the four of the elliptic curve, each of
 which holds a single character k: the invariants of a product entry are
-the multiplicity of character -k in the K3 entry.  This is the character-0
+the multiplicity of character -k in the K3 entry.  Four of the five K3
+entries are the same for every configuration of an order and are paired
+once, at import.  This is the character-0
 slice of the character-refined Kuenneth product, which the tests keep as
 an independent oracle (:func:`bvhodge.hodge.kunneth_character_product`).
 
@@ -74,6 +76,16 @@ _K3_FRAME = {n: ((0, 0, _delta(n, 0)), (2, 2, _delta(n, 0)),
 _ELLIPTIC = {n: ((0, 0, 0), (1, 1, 0), (1, 0, n - 1), (0, 1, 1)) for n in SUPPORTED_ORDERS}
 
 
+def _untwisted_frame(n: int) -> Table:
+    """Invariant part of the K3 frame times the elliptic curve, for every configuration."""
+    table = [[0] * 4 for _ in range(4)]
+    for p1, q1, chars in _K3_FRAME[n]:
+        for p2, q2, k in _ELLIPTIC[n]:
+            # paired with the single character k, only character -k is invariant
+            table[p1 + p2][q1 + q2] += chars[-k]
+    return tuple(map(tuple, table))
+
+
 def _sector_weights(n: int) -> dict:
     """Invariant counts per character, for every subgroup order d and orbit size s.
 
@@ -109,6 +121,7 @@ def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
 
 _SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
 _PAIR_CLASSES = {n: _pair_classes(n) for n in SUPPORTED_ORDERS}
+_UNTWISTED_FRAME = {n: _untwisted_frame(n) for n in SUPPORTED_ORDERS}
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +141,9 @@ def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
     dims[(n - 1) % n] -= 1
     if min(dims) < 0:
         raise InvariantError(validate(cfg))
-    table = [[0] * 4 for _ in range(4)]
-    for p1, q1, chars in _K3_FRAME[n] + ((1, 1, dims),):
-        for p2, q2, k in _ELLIPTIC[n]:
-            # paired with the single character k, only character -k is invariant
-            table[p1 + p2][q1 + q2] += chars[-k]
+    table = list(map(list, _UNTWISTED_FRAME[n]))
+    for p2, q2, k in _ELLIPTIC[n]:  # the frame plus the (1,1) entry: four cells
+        table[1 + p2][1 + q2] += dims[-k]
     return HodgeDiamond(3, table)
 
 
@@ -258,16 +269,19 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     return diamond
 
 
-def orbifold_euler_pairsum(cfg: K3Config) -> int:
+def orbifold_euler_pairsum(cfg: K3Config, _eulers: Optional[list[int]] = None) -> int:
     """Group-averaged Euler characteristic over commuting pairs.
 
     (1/n) * sum over all pairs (j, k) of e of the common fixed set, which
     only depends on gcd(j, k, n), so each class is evaluated once and
     weighted by its pairs.  The division is checked exact; a remainder would
-    mean corrupted input and raises.
+    mean corrupted input and raises.  :func:`crosscheck` passes ``_eulers``,
+    the fixed-set Euler numbers it also feeds to the closed form.
     """
     n = cfg.n
-    total = sum(euler_fixed_set(cfg, c) * weight for c, weight in _PAIR_CLASSES[n])
+    if _eulers is None:
+        _eulers = [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[n]]
+    total = sum(e * weight for e, (_, weight) in zip(_eulers, _PAIR_CLASSES[n]))
     if total % n:
         raise RuntimeError(f"pair sum {total} not divisible by {n}: corrupted input")
     return total // n
@@ -332,7 +346,8 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     diamond = orbifold_hodge_diamond(cfg)
     h11, h21 = diamond.entry(1, 1), diamond.entry(2, 1)
     e_diamond = euler_characteristic(diamond)
-    e_pair = orbifold_euler_pairsum(cfg)
+    eulers = [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[cfg.n]]
+    e_pair = orbifold_euler_pairsum(cfg, eulers)
     checks = [_check("euler_pairsum", e_diamond, e_pair)]
     if e_pair % 2 == 0:
         checks.append(_check("cy_relation", h21, h11 - e_pair // 2))
@@ -342,7 +357,7 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     closed = e_closed = None
     if cfg.invariants is not None:
         closed = closed_form_pair(cfg.n, cfg.invariants)
-        e_closed = euler_formula(cfg.n, [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[cfg.n]])
+        e_closed = euler_formula(cfg.n, eulers)
         checks.append(_check("closed_form_h11", h11, closed.h11))
         checks.append(_check("closed_form_h21", h21, closed.h21))
         checks.append(_check("closed_form_euler", e_pair, e_closed))

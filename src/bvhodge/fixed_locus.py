@@ -395,12 +395,26 @@ def _int_args(where, **kwargs):
 
 
 def _curves(*specs) -> tuple[CurveOrbit, ...]:
-    """Drop zero-count entries; specs are CurveOrbit kwargs dicts."""
-    return tuple(CurveOrbit(**s) for s in specs if s.get("count", 1) > 0)
+    """Curve orbits of the (count, genus, orbit_size, residual_order, quotient_genus,
+    char_dims) specs, trailing defaults left out; zero-count specs are dropped."""
+    return tuple(CurveOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0)
 
 
 def _points(*specs) -> tuple[PointOrbit, ...]:
-    return tuple(PointOrbit(**s) for s in specs if s.get("count", 1) > 0)
+    """Point orbits of the (count, type_exponents, orbit_size) specs, as :func:`_curves`."""
+    return tuple(PointOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0)
+
+
+def _ro3_entry(g: int, gq: int) -> tuple:
+    """Spec of one curve of genus g and quotient genus gq under a residual order-3 action.
+
+    An odd non-invariant dimension has no balanced split; it gets the
+    near-balanced one, which the invariant pairing cannot distinguish.
+    """
+    dims = None
+    if (g - gq) % 2:
+        dims = (gq, 0, (g - gq + 1) // 2, 0, (g - gq) // 2, 0)
+    return 1, g, 1, 3, gq, dims
 
 
 def from_invariants_order2(r: int, curve_genera) -> K3Config:
@@ -411,7 +425,7 @@ def from_invariants_order2(r: int, curve_genera) -> K3Config:
     counts: dict[int, int] = {}
     for g in genera:
         counts[g] = counts.get(g, 0) + 1
-    curves = _curves(*({"genus": g, "count": c} for g, c in sorted(counts.items(), reverse=True)))
+    curves = _curves(*((c, g) for g, c in sorted(counts.items(), reverse=True)))
     cfg = K3Config(
         2, dims, (SubgroupFixedRecord(2, curves),),
         invariants={"r": r, "curve_genera": list(genera)},
@@ -429,11 +443,8 @@ def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K
     if k == 0 and g_C > 0:
         raise InvariantError([Violation("order3",
                                         "a positive top genus needs at least one curve")])
-    curves = _curves(
-        {"genus": g_C, "count": 1 if k else 0},
-        {"genus": 0, "count": max(k - 1, 0)},
-    )
-    points = _points({"type_exponents": _POINT_TYPE[3], "count": n_points})
+    curves = _curves((1 if k else 0, g_C), (max(k - 1, 0), 0))
+    points = _points((n_points, _POINT_TYPE[3]))
     cfg = K3Config(
         3, EigenspaceDims(3, (r, m, m)), (SubgroupFixedRecord(3, curves, points),),
         invariants={"r": r, "m": m, "k": k, "n_points": n_points, "g_C": g_C},
@@ -482,26 +493,12 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
     if v:
         raise InvariantError(v)
 
-    fixed_curves = (
-        _curves({"genus": g_D, "count": 1}, {"genus": 0, "count": k - 1})
-        if D_type == "first"
-        else _curves({"genus": 0, "count": k})
-    )
-    inv_curves = (
-        _curves({"genus": 0, "residual_order": 2, "quotient_genus": 0, "count": b})
-        if D_type == "first"
-        else _curves(
-            {"genus": g_D, "residual_order": 2, "quotient_genus": d_quot, "count": 1},
-            {"genus": 0, "residual_order": 2, "quotient_genus": 0, "count": b - 1},
-        )
-    )
-    rec4 = SubgroupFixedRecord(
-        4, fixed_curves,
-        _points({"type_exponents": _POINT_TYPE[4], "count": n1 + n2}),
-    )
-    rec2 = SubgroupFixedRecord(
-        2, fixed_curves + inv_curves + _curves({"genus": 0, "orbit_size": 2, "count": a}),
-    )
+    fixed_curves = (_curves((1, g_D), (k - 1, 0)) if D_type == "first"
+                    else _curves((k, 0)))
+    inv_curves = (_curves((b, 0, 1, 2, 0)) if D_type == "first"
+                  else _curves((1, g_D, 1, 2, d_quot), (b - 1, 0, 1, 2, 0)))
+    rec4 = SubgroupFixedRecord(4, fixed_curves, _points((n1 + n2, _POINT_TYPE[4])))
+    rec2 = SubgroupFixedRecord(2, fixed_curves + inv_curves + _curves((a, 0, 2)))
     cfg = K3Config(
         4, EigenspaceDims(4, (r, m, d2, m)), (rec4, rec2),
         invariants={"r": r, "m": m, "k": k, "a": a, "b": b, "n1": n1, "n2": n2,
@@ -572,41 +569,18 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
     if v:
         raise InvariantError(v)
 
-    fixed = _curves({"genus": g_D, "count": 1 if l else 0}, {"genus": 0, "count": l - 1 if l else 0})
-    ro2 = (
-        _curves({"genus": g_G, "residual_order": 2, "quotient_genus": g_G_quot, "count": 1},
-                {"genus": 0, "residual_order": 2, "quotient_genus": 0, "count": c2 - 1})
-        if g_D == 0 and g_G > 0
-        else _curves({"genus": 0, "residual_order": 2, "quotient_genus": 0, "count": c2})
-    )
-
-    def _ro3_entry(g, gq):
-        # an odd non-invariant dimension has no balanced split; pick the
-        # near-balanced one, which the invariant pairing cannot distinguish
-        entry = {"genus": g, "residual_order": 3, "quotient_genus": gq, "count": 1}
-        if (g - gq) % 2:
-            dims = [0] * 6
-            dims[0], dims[2], dims[4] = gq, (g - gq + 1) // 2, (g - gq) // 2
-            entry["char_dims"] = tuple(dims)
-        return entry
-
-    ro3 = _curves(
-        *(_ro3_entry(g, gq) for g, gq in placed_f),
-        {"genus": 0, "residual_order": 3, "quotient_genus": 0, "count": c3 - len(placed_f)},
-    )
-    rec6 = SubgroupFixedRecord(
-        6, fixed,
-        _points({"type_exponents": _POINT_TYPE_6["p25"], "count": p25},
-                {"type_exponents": _POINT_TYPE_6["p34"], "count": p34}),
-    )
+    fixed = _curves((1 if l else 0, g_D), (l - 1 if l else 0, 0))
+    ro2 = (_curves((1, g_G, 1, 2, g_G_quot), (c2 - 1, 0, 1, 2, 0)) if g_D == 0 and g_G > 0
+           else _curves((c2, 0, 1, 2, 0)))
+    ro3 = _curves(*(_ro3_entry(g, gq) for g, gq in placed_f),
+                  (c3 - len(placed_f), 0, 1, 3, 0))
+    rec6 = SubgroupFixedRecord(6, fixed, _points((p25, _POINT_TYPE_6["p25"]),
+                                                 (p34, _POINT_TYPE_6["p34"])))
     rec3 = SubgroupFixedRecord(
-        3, fixed + ro2 + _curves({"genus": 0, "orbit_size": 2, "count": b}),
-        _points({"type_exponents": _POINT_TYPE_6["square"], "count": p25},
-                {"type_exponents": _POINT_TYPE_6["square"], "orbit_size": 2, "count": n_prime}),
+        3, fixed + ro2 + _curves((b, 0, 2)),
+        _points((p25, _POINT_TYPE_6["square"]), (n_prime, _POINT_TYPE_6["square"], 2)),
     )
-    rec2 = SubgroupFixedRecord(
-        2, fixed + ro3 + _curves({"genus": 0, "orbit_size": 3, "count": a}),
-    )
+    rec2 = SubgroupFixedRecord(2, fixed + ro3 + _curves((a, 0, 3)))
     cfg = K3Config(
         6, EigenspaceDims(6, (r, m, m, m, m, m)), (rec6, rec3, rec2),
         invariants={"r": r, "m": m, "l": l, "k": k, "N": N, "a": a, "b": b,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvhodge import cli
+from generators import samples
 
 WORKED_DOC = {
     "order": 4,
@@ -299,6 +300,81 @@ LONG = 10 ** 999 + 7  # a thousand digits
 ], ids=["checks", "no-checks", "checks-off", "invalid", "long"])
 def test_emit_writes_hand_built_reports_as_the_standard_library(changes):
     report = dict(HAND_BUILT, **changes)
+    assert cli.emit(report, "json") == _canonical(report)
+
+
+def _named_documents():
+    """Named documents of every order: sampled tuples, edge shapes and exit-2 tuples."""
+    docs = [{"order": s.order, "invariants": s.invariants}
+            for n in (2, 3, 4, 6) for s in samples(n, 12, seed=31)]
+    docs += [WORKED_DOC, {"order": 2, "invariants": {"r": 10, "curve_genera": []}}]
+    second = {"r": 10, "m": 4, "k": 1, "a": 0, "b": 2, "n1": 2, "n2": 2, "g_D": 1,
+              "D_type": "second"}
+    docs.append({"order": 4, "invariants": second})
+    # refused by the constructors: exit 2, the config echoed as read
+    docs += [{"order": 2, "invariants": {"r": LONG, "curve_genera": [LONG, 0]}},
+             {"order": 3, "invariants": {"r": LONG, "m": -LONG, "k": 1, "n_points": 0,
+                                         "g_C": 0}},
+             {"order": 4, "invariants": dict(WORKED_DOC["invariants"], g_D=LONG)},
+             {"order": 6, "invariants": {k: LONG for k in cli._INVARIANT_KEYS[6]}}]
+    return docs
+
+
+@pytest.mark.parametrize("checks", [True, False])
+def test_emit_writes_named_reports_as_the_standard_library(monkeypatch, checks):
+    reports = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report)
+                        or emit(report, fmt))
+    for doc in _named_documents():
+        cli.run_text(json.dumps(doc), fmt="json", checks=checks)
+    assert {r["order"] for r in reports} == {2, 3, 4, 6}
+    assert {r["exit_code"] for r in reports} == {0, 2}
+    assert {r["config"]["invariants"].get("D_type") for r in reports} == {None, "first", "second"}
+    assert {bool(r["config"]["invariants"].get("curve_genera", [0])) for r in reports} == {
+        True, False}
+    for report in reports:
+        assert emit(report, "json") == _canonical(report)
+
+
+NAMED_CONFIG = {"order": 4, "invariants": WORKED_DOC["invariants"]}
+TRIPLE = {"h11": 51, "h21": 9, "euler": 84}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("engine", "closed_form") for value in (
+        {"h11": 51, "h21": 9}, dict(TRIPLE, x=1), [51, 9, 84], None, dict(TRIPLE, h11=True),
+        dict(TRIPLE, h21=9.0), dict(TRIPLE, euler="84"), dict(TRIPLE, euler=None), {})
+] + [("config", value) for value in (
+    {"order": 4}, dict(NAMED_CONFIG, raw={}), [4, WORKED_DOC["invariants"]], None,
+    dict(NAMED_CONFIG, order=4.0), dict(NAMED_CONFIG, order=True),
+    dict(NAMED_CONFIG, order=3), dict(NAMED_CONFIG, order=5),
+    dict(NAMED_CONFIG, invariants=list(WORKED_DOC["invariants"])),
+    dict(NAMED_CONFIG, invariants={k: v for k, v in WORKED_DOC["invariants"].items()
+                                   if k != "a"}),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], extra=1)),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], a=True, b=1.5, k=None)),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], a={"x": [1, {}]}, b=[])),
+    {"order": 2, "invariants": {"r": 1, "curve_genera": [[], {}, "Σ"]}},
+)] + [("violations", value) for value in ([], (), ["x"], None, [[]], {})])
+def test_emit_writes_off_shape_values_as_the_standard_library(key, value):
+    # the templates take only the shapes run() gives; anything else takes the general writer
+    report = dict(HAND_BUILT, **{"config": NAMED_CONFIG, key: value})
+    assert cli.emit(report, "json") == _canonical(report)
+
+
+def _named_configs(order):
+    keys = cli._INVARIANT_KEYS[order]
+    return st.builds(lambda inv, drop, extra: {"order": order, "invariants": {
+        k: v for k, v in {**inv, **extra}.items() if k != drop}},
+        st.fixed_dictionaries({k: json_values for k in keys}),
+        st.sampled_from((None,) + keys), st.dictionaries(st.text(), json_values, max_size=2))
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3, 4, 6)).flatmap(_named_configs))
+def test_emit_writes_any_named_config_as_the_standard_library(config):
+    report = dict(HAND_BUILT, config=config)
     assert cli.emit(report, "json") == _canonical(report)
 
 

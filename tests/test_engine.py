@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_untwisted_matches_kunneth_oracle():
         oracle = invariant_diamond(kunneth_character_product(
             k3_table(n, cfg.eigenspace.dims), e_table(n)))
         assert untwisted_diamond(cfg) == oracle, (n, cfg.eigenspace.dims)
+
+
+def test_untwisted_matches_kunneth_oracle_without_conjugate_symmetry():
+    # the frame is a constant per order; the (1,1) entry still pairs each character with -k
+    rng = Random(5)
+    for n in (3, 4, 6):
+        for _ in range(50):
+            dims = [rng.randint(0, 5) for _ in range(n)]
+            dims[1] += 1
+            dims[n - 1] += 1
+            cfg = K3Config(n, EigenspaceDims(n, tuple(dims)), ())
+            oracle = invariant_diamond(kunneth_character_product(k3_table(n, dims), e_table(n)))
+            assert untwisted_diamond(cfg) == oracle, (n, dims)
 
 
 def test_untwisted_rejects_degenerate_eigenspaces():
@@ -249,6 +263,26 @@ def test_serving_path_builds_two_diamonds(monkeypatch):
             except json.JSONDecodeError:
                 continue
             assert len(built) == (0 if code == cli.EXIT_INVALID else 2), name
+
+
+@pytest.mark.parametrize("order, classes", [(2, 1), (3, 1), (4, 2), (6, 3)])
+def test_serving_path_reads_each_fixed_set_euler_number_once(monkeypatch, order, classes):
+    # the pair sum and the closed-form Euler number share one read per class
+    read = []
+    honest = engine.euler_fixed_set
+    monkeypatch.setattr(engine, "euler_fixed_set", lambda cfg, c: read.append(c) or honest(cfg, c))
+    for sample in samples(order, 10, seed=77):
+        for doc in ({"order": order, "invariants": sample.invariants},
+                    {"order": order, "raw": raw_form(sample.config)}):
+            read.clear()
+            text, code = cli.run_text(json.dumps(doc), fmt="json")
+            assert code == cli.EXIT_OK, text
+            assert sorted(read) == [c for c, _ in engine._PAIR_CLASSES[order]]
+            assert len(read) == classes
+    cfg = samples(order, 1, seed=78)[0].config
+    read.clear()  # the public one-argument form reads them itself
+    assert orbifold_euler_pairsum(cfg) == crosscheck(cfg).euler_pairsum
+    assert len(read) == 2 * classes
 
 
 def _sector_configs():
