@@ -219,12 +219,6 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
 
 
-def _leaf_text(value) -> str:
-    """A JSON scalar or an empty container; json.dumps writes bools, floats, {} and []."""
-    write = _SCALARS.get(type(value))
-    return write(value) if write else json.dumps(value)
-
-
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value, byte for byte.
 
@@ -240,13 +234,11 @@ def _json_text(value, indent: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(
             write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner)
             for v in value) + indent + "]"
-    return _leaf_text(value)
+    return write(value) if (write := _SCALARS.get(type(value))) else json.dumps(value)
 
 
 _ROW = "[" + ",".join(["\n      {}"] * 4) + "\n    ]"
 _DIAMOND = "[" + ",".join(["\n    " + _ROW] * 4) + "\n  ]"
-_CHECK = ('{{\n      "lhs": {},\n      "name": {},\n      "rhs": {},\n      "status": {}'
-          '\n    }}')
 
 
 def _diamond_text(diamond) -> str:
@@ -254,13 +246,20 @@ def _diamond_text(diamond) -> str:
     return _DIAMOND.format(*top, *upper, *lower, *bottom)
 
 
+#: per name and status of an engine check, its text with an int or null lhs and rhs as %s fields
+_CHECKS = {(name, status): f'{{\n      "lhs": %s,\n      "name": "{name}",\n      "rhs": %s,'
+                           f'\n      "status": "{status}"\n    }}'
+           for name in ("euler_pairsum", "cy_relation", "closed_form_h11", "closed_form_h21",
+                        "closed_form_euler") for status in ("pass", "fail", "skipped")}
+_INT_OR_NONE = frozenset((int, type(None)))  # an int formats itself with %s as json.dumps does
+
+
 def _checks_text(checks) -> str:
-    if not checks:
-        return "[]"
-    return "[\n    " + ",\n    ".join(
-        _CHECK.format(_leaf_text(c["lhs"]), encode_basestring_ascii(c["name"]),
-                      _leaf_text(c["rhs"]), encode_basestring_ascii(c["status"]))
-        for c in checks) + "\n  ]"
+    return "[\n    " + ",\n    ".join([
+        template % ("null" if lhs is None else lhs, "null" if rhs is None else rhs)
+        if (template := _CHECKS.get((c["name"], c["status"])))
+        and type(lhs := c["lhs"]) in _INT_OR_NONE and type(rhs := c["rhs"]) in _INT_OR_NONE
+        else _json_text(c, "\n    ") for c in checks]) + "\n  ]" if checks else "[]"
 
 
 _TRIPLE = '{{\n    "euler": {euler},\n    "h11": {h11},\n    "h21": {h21}\n  }}'

@@ -18,19 +18,21 @@ disjoint union of products (curve or point on the K3 side) x (fixed point on
 the elliptic side); the group permutes these components and acts on their
 cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
-per-order weights, which are read once at import from the orbit sizes of
+per-order weights w, read once at import from the orbit sizes of
 :data:`bvhodge.fixed_locus.ELLIPTIC_ORBITS`; its age shifts them
-diagonally.  A curve has local exponents (0, r, n - r) and age 1, a point
-of type (t1, t2) has exponents (u*t1, u*t2, n - r) mod n, u = r/gcd(r, n),
-and age their sum over n.
+diagonally.  A curve of genus g in the default split has g_quot*w[0] +
+(g - g_quot)/(rho - 1)*W invariant forms, W the import-time sum of w over
+the nonzero characters of its residual order rho.  A curve has local
+exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
+(u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
 built by hand is checked with :func:`bvhodge.fixed_locus.validate` first,
 which is also where the character split of each curve is checked.
 Past that, the engine only adds, multiplies and compares the numbers of
-the data, with one checked exact division in the pair sum; it converts
-none of them and uses no floats.
+the data, dividing only in the pair sum, checked exact, and in a default
+split, which validation checked; it converts none of them and uses no floats.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
 
 
 _SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
+#: (w, W, q) per (d, s, rho): W sums w over the nonzero multiples of n/rho, q = rho - 1 or 1
+_SPLIT_WEIGHTS = {n: {(d, s, rho): (w, sum(w[n // rho::n // rho]), max(rho - 1, 1))
+                      for (d, s), w in _SECTOR_WEIGHTS[n].items() for rho in (1, 2, 3)
+                      if n % rho == 0} for n in SUPPORTED_ORDERS}
 _PAIR_CLASSES = {n: _pair_classes(n) for n in SUPPORTED_ORDERS}
 _UNTWISTED_FRAME = {n: _untwisted_frame(n) for n in SUPPORTED_ORDERS}
 
@@ -182,15 +188,42 @@ class SectorComponent(Record):
         return HodgeDiamond(3, self.table)
 
 
+def _point_local(point: PointOrbit, n: int, r: int) -> tuple[tuple[int, ...], int]:
+    """Local exponents and age of a point in the sector of g^r; a non-crepant one raises."""
+    u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
+    exponents = (u * point.type_exponents[0] % n, u * point.type_exponents[1] % n, n - r)
+    a, rest = divmod(sum(exponents), n)
+    if rest or a not in (1, 2):
+        raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
+    return exponents, a
+
+
 class SectorContribution(Record):
     """Everything the sector of one nontrivial power of the generator adds."""
 
-    __slots__ = ("power", "components", "table")
+    __slots__ = ("power", "config", "table")
 
-    def __init__(self, power: int, components: tuple[SectorComponent, ...], table: Table):
+    def __init__(self, power: int, config: K3Config, table: Table):
         setfield(self, "power", power)
-        setfield(self, "components", components)
+        setfield(self, "config", config)
         setfield(self, "table", table)
+
+    @property
+    def components(self) -> tuple[SectorComponent, ...]:
+        """The component classes, built on read; a curve pairs its character split with w."""
+        n, r, weights, out = self.config.n, self.power, _SECTOR_WEIGHTS[self.config.n], []
+        d = n // gcd(r, n)
+        for curve in (record := self.config.record(d)).curves:
+            w = weights[d, curve.orbit_size]
+            forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
+            h0 = curve.count * w[0]
+            out.append(SectorComponent("curve", curve, (0, r, n - r), 1,
+                                       ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))))
+        for point in record.points:
+            exponents, a = _point_local(point, n, r)
+            h0 = point.count * weights[d, point.orbit_size][0]
+            out.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
+        return tuple(out)
 
     @property
     def increment(self) -> HodgeDiamond:
@@ -217,33 +250,21 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
     if r == 0:
         raise ValueError("the untwisted part is not a sector; use untwisted_diamond")
     d = n // gcd(r, n)
-    weights = _SECTOR_WEIGHTS[n]
-    record = cfg.record(d)
-    components = []
-    # h^{a,a} at index a of diag, and h21 = h12: the only cells a sector touches
-    diag, h21 = [0, 0, 0], 0
-    curve_exponents = (0, r, n - r)
+    weights, split, record = _SECTOR_WEIGHTS[n], _SPLIT_WEIGHTS[n], cfg.record(d)
+    # h0 of the curves, at index 0, goes to h11 and h22, that of the points at index age
+    h0, h21 = [0, 0, 0], 0
     for curve in record.curves:
-        w = weights[d, curve.orbit_size]
-        forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
-        h0 = curve.count * w[0]
-        entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
-        components.append(SectorComponent("curve", curve, curve_exponents, 1, entries))
-        diag[1] += h0
-        diag[2] += h0
-        h21 += forms
-    u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
+        w, rest, q = split[d, curve.orbit_size, curve.residual_order]
+        if curve.char_dims is None:  # the default split, through its summed weights
+            forms = curve.quotient_genus * w[0] + (curve.genus - curve.quotient_genus) // q * rest
+        else:
+            forms = sum(map(mul, curve.char_dims, w))
+        h0[0] += curve.count * w[0]
+        h21 += curve.count * forms
     for point in record.points:
-        t1, t2 = point.type_exponents
-        exponents = (u * t1 % n, u * t2 % n, n - r)
-        a, rest = divmod(sum(exponents), n)
-        if rest or a not in (1, 2):
-            raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
-        h0 = point.count * weights[d, point.orbit_size][0]
-        components.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
-        diag[a] += h0
-    total = ((0, 0, 0, 0), (0, diag[1], h21, 0), (0, h21, diag[2], 0), (0, 0, 0, 0))
-    return SectorContribution(r, tuple(components), total)
+        h0[_point_local(point, n, r)[1]] += point.count * weights[d, point.orbit_size][0]
+    total = ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))
+    return SectorContribution(r, cfg, total)
 
 
 def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:

@@ -2,11 +2,16 @@
 
 They are independent routes to numbers the package computes: the
 curve-count form of the order-2 Hodge numbers, the order-4 rank relations
-the samplers solve for (r, m), the Calabi-Yau Euler relation, and the
-order-6 consistency functional.
+the samplers solve for (r, m), the Calabi-Yau Euler relation, the
+order-6 consistency functional, and the eagerly built sector components.
 """
 
+from math import gcd
+from operator import mul
+
+from bvhodge import engine
 from bvhodge.closed_forms import HodgePair
+from bvhodge.fixed_locus import curve_character_dims
 
 
 def classic_bv(n_curves: int, genus_sum: int) -> HodgePair:
@@ -76,3 +81,34 @@ def pictogram(table) -> str:
         cells = "".join(str(table[p][k - p]).center(width) for p in ps)
         lines.append(cells.center((2 * d + 1) * width).rstrip())
     return "\n".join(lines)
+
+
+def eager_sector_components(cfg, j):
+    """The component classes of the sector of g^j, built as the engine once built every sector.
+
+    The reference for :attr:`bvhodge.engine.SectorContribution.components`, which
+    builds them only when read: each curve pairs its character split with the weights.
+    """
+    n = cfg.n
+    r = j % n
+    d = n // gcd(r, n)
+    weights = engine._SECTOR_WEIGHTS[n]
+    record = cfg.record(d)
+    components = []
+    curve_exponents = (0, r, n - r)
+    for curve in record.curves:
+        w = weights[d, curve.orbit_size]
+        forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
+        h0 = curve.count * w[0]
+        entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
+        components.append(engine.SectorComponent("curve", curve, curve_exponents, 1, entries))
+    u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
+    for point in record.points:
+        t1, t2 = point.type_exponents
+        exponents = (u * t1 % n, u * t2 % n, n - r)
+        a, rest = divmod(sum(exponents), n)
+        if rest or a not in (1, 2):
+            raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
+        h0 = point.count * weights[d, point.orbit_size][0]
+        components.append(engine.SectorComponent("point", point, exponents, a, ((a, a, h0),)))
+    return tuple(components)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvhodge import cli
+from bvhodge import InvariantError, K3Config, cli, crosscheck
 from generators import samples
 
 WORKED_DOC = {
@@ -376,6 +376,37 @@ def _named_configs(order):
 def test_emit_writes_any_named_config_as_the_standard_library(config):
     report = dict(HAND_BUILT, config=config)
     assert cli.emit(report, "json") == _canonical(report)
+
+
+ENGINE_CHECKS = ("euler_pairsum", "cy_relation", "closed_form_h11", "closed_form_h21",
+                 "closed_form_euler")
+CHECK_VALUES = (None, 0, 84, -3, LONG, -LONG, True, False, 1.5, -0.0, "84", "\u03a3 %s", [], {})
+
+
+@pytest.mark.parametrize("status", ("pass", "fail", "skipped", "PASS", "\u00e9chec %d"))
+@pytest.mark.parametrize("name", ENGINE_CHECKS + ("\u03a3 \"odd\" %s", "cy_relation "))
+def test_emit_writes_every_check_as_the_standard_library(name, status):
+    # an engine name and status take a template that fills in an int or None; any
+    # other name, status or value takes the general writer
+    checks = [{"name": name, "status": status, "lhs": lhs, "rhs": rhs}
+              for lhs in CHECK_VALUES for rhs in CHECK_VALUES]
+    report = dict(HAND_BUILT, checks=checks)
+    assert cli.emit(report, "json") == _canonical(report)
+
+
+def test_check_templates_cover_the_checks_the_engine_reports():
+    reported = set()
+    for name in cli.fixture_names():
+        try:
+            cfg = cli.parse_config(json.loads(cli.load_fixture_text(name)))
+        except (ValueError, InvariantError):  # malformed JSON, schema or invariant errors
+            continue
+        for run in (cfg, K3Config(cfg.n, cfg.eigenspace, cfg.records)):  # and without names
+            reported |= {(c.name, c.status) for c in crosscheck(run).checks}
+    assert {status for _, status in reported} == {"pass", "fail", "skipped"}
+    assert reported < cli._CHECKS.keys()
+    assert {name for name, _ in cli._CHECKS} == {name for name, _ in reported} == set(
+        ENGINE_CHECKS)
 
 
 # --- main() ---------------------------------------------------------------------

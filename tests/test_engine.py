@@ -9,6 +9,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvhodge import (
     CurveOrbit,
@@ -31,9 +33,10 @@ from bvhodge import engine, hodge
 from bvhodge.closed_forms import euler_formula
 from bvhodge.cyclic import LocalAction, age, power_transport
 from bvhodge.engine import sector_contribution, untwisted_diamond
-from bvhodge.fixed_locus import euler_fixed_set
+from bvhodge.fixed_locus import curve_character_dims, euler_fixed_set
 from bvhodge.hodge import euler_characteristic, invariant_diamond, kunneth_character_product
 from generators import samples
+from oracles import eager_sector_components
 from test_fuzz import raw_form
 from test_hodge_algebra import e_table, k3_table
 
@@ -325,11 +328,118 @@ def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, cells):
         table = tuple(map(tuple, rows))
         if where == "untwisted_diamond":
             return hodge.HodgeDiamond(3, table)
-        return engine.SectorContribution(part.power, part.components, table)
+        return engine.SectorContribution(part.power, part.config, table)
 
     monkeypatch.setattr(engine, where, broken)
     with pytest.raises(RuntimeError, match="malformed diamond"):
         orbifold_hodge_diamond(cfg)
+
+
+def _explicit_split_config():
+    """A raw order-6 document whose elliptic F1 and F2 come with explicit char_dims."""
+    split = from_invariants_order6(r=12, m=2, l=3, k=8, N=8, a=1, b=1, n_prime=2, p25=0,
+                                   p34=6, g_D=0, g_G=4, g_G_quot=2, g_F1=1, g_F1_quot=0,
+                                   g_F2=1, g_F2_quot=0)
+    cfg = cli.parse_config({"order": 6, "raw": raw_form(split)})
+    assert any(c.char_dims for c in cfg.record(2).curves) and cfg.invariants is None
+    return cfg
+
+
+def test_sector_components_match_the_eager_builder():
+    # components are built on read, by the route the engine once took for every sector
+    configs = [s.config for order in (2, 3, 4, 6) for s in samples(order, 500)]
+    configs += list(_exit0_fixture_configs()) + [_explicit_split_config()]
+    built = 0
+    for cfg in configs:
+        for j in range(1, cfg.n):
+            components = sector_contribution(cfg, j).components
+            assert components == eager_sector_components(cfg, j), (cfg, j)
+            built += len(components)
+    assert built > 2000 * 3
+
+
+def test_serving_path_builds_no_sector_component(monkeypatch):
+    # the sectors sum their cells from the records; components wait for a reader
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector component or character split built on the serving path")
+
+    cfg = from_invariants_order4(**WORKED_ORDER4)
+    monkeypatch.setattr(engine.SectorComponent, "__init__", refuse)
+    monkeypatch.setattr(engine, "curve_character_dims", refuse)
+    with pytest.raises(AssertionError, match="serving path"):  # the guard is live
+        sector_contribution(cfg, 1).components
+    texts = [cli.load_fixture_text(name) for name in EXIT0_FIXTURES]
+    texts.append(json.dumps({"order": 6, "raw": raw_form(_explicit_split_config())}))
+    for n in (2, 3, 4, 6):
+        for sample in samples(n, 10, seed=5):
+            texts.append(json.dumps({"order": n, "invariants": sample.invariants}))
+            texts.append(json.dumps({"order": n, "raw": raw_form(sample.config)}))
+    for text in texts:
+        for fmt in ("text", "json"):
+            assert cli.run_text(text, fmt=fmt)[1] == cli.EXIT_OK
+
+
+def test_orbifold_diamond_raises_on_a_non_crepant_point():
+    # the age check runs on the serving path, not only when components are read
+    rec = SubgroupFixedRecord(4, points=(PointOrbit((1, 1)),))
+    cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
+    with pytest.raises(ValueError, match="non-crepant local data: point age 5/4"):
+        orbifold_hodge_diamond(cfg)
+    with pytest.raises(ValueError, match="non-crepant"):
+        crosscheck(cfg)
+
+
+def _valid_quotient_genera(genus, rho):
+    """Every quotient genus validate accepts for a default split of this genus."""
+    if rho == 1:
+        return [genus]
+    return [gq for gq in range(genus + 1) if (genus - gq) % (rho - 1) == 0]
+
+
+def _split_kernel(n, key, genus, quotient_genus, count=3):
+    """(h0, forms) of one curve orbit through the sector, and through the character split."""
+    d, size, rho = key
+    curve = CurveOrbit(genus, size, rho, quotient_genus, count=count)
+    cfg = K3Config(n, EigenspaceDims(n, VALID_DIMS[n]), (SubgroupFixedRecord(d, (curve,)),))
+    table = sector_contribution(cfg, n // d).table
+    assert table[1][1] == table[2][2] and table[2][1] == table[1][2]
+    w = engine._SECTOR_WEIGHTS[n][d, size]
+    return ((table[1][1], table[2][1]),
+            (count * w[0], count * sum(c * x for c, x in zip(curve_character_dims(curve, n), w))))
+
+
+def test_split_weights_match_the_character_pairing():
+    keys = [(n, key) for n in (2, 3, 4, 6) for key in engine._SPLIT_WEIGHTS[n]]
+    assert {(n, rho) for n, (_, _, rho) in keys} == {
+        (2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 2), (6, 1), (6, 2), (6, 3)}
+    checked = 0
+    for n, key in keys:
+        for genus in range(13):
+            for gq in _valid_quotient_genera(genus, key[2]):
+                kernel, pairing = _split_kernel(n, key, genus, gq)
+                assert kernel == pairing, (n, key, genus, gq)
+                checked += 1
+    assert checked > 2000
+
+
+@st.composite
+def _large_split_curves(draw):
+    n = draw(st.sampled_from((2, 3, 4, 6)))
+    key = draw(st.sampled_from(sorted(engine._SPLIT_WEIGHTS[n])))
+    genus = draw(st.integers(0, 10 ** 40))
+    gq = genus if key[2] == 1 else draw(st.integers(0, genus))
+    if key[2] == 3:  # an even rest: the odd one has no default split
+        gq += (genus - gq) % 2
+    return n, key, genus, gq, draw(st.integers(1, 10 ** 6))
+
+
+@settings(deadline=None)
+@given(_large_split_curves())
+def test_split_weights_match_the_character_pairing_at_large_genera(drawn):
+    n, key, genus, gq, count = drawn
+    assert 0 <= gq <= genus and (genus - gq) % max(key[2] - 1, 1) == 0
+    kernel, pairing = _split_kernel(n, key, genus, gq, count)
+    assert kernel == pairing
 
 
 def test_sector_curve_ages_always_one():

@@ -59,7 +59,7 @@ def _samples():
         (HodgePair(3, 4), ("h11", "h21"), HodgePair(4, 3)),
         (sector.components[0], ("kind", "source", "exponents", "age", "entries"),
          sector.components[-1]),
-        (sector, ("power", "components", "table"), sector_contribution(cfg, 2)),
+        (sector, ("power", "config", "table"), sector_contribution(cfg, 2)),
         (Check("cy_relation", "pass", 1, 1), ("name", "status", "lhs", "rhs"),
          Check("cy_relation", "fail", 1, 2)),
         (report, ("diamond", "h11", "h21", "euler_diamond", "euler_pairsum", "closed",
