@@ -1,4 +1,4 @@
-"""Elements of C_n, linearized local actions and their ages: the engine's test oracle.
+"""Linearized local actions and their ages: the engine's test oracle.
 
 The engine never imports it; it stays in ``src/`` while the bench hooks :func:`age`.
 
@@ -16,18 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .record import Record, setfield
-
-
-class GroupElement(Record):
-    """A residue j mod n, i.e. the j-th power of the fixed generator."""
-
-    __slots__ = ("n", "j")
-
-    def __init__(self, n: int, j: int):
-        if n < 1:
-            raise ValueError(f"modulus must be at least 1, got {n}")
-        setfield(self, "n", n)
-        setfield(self, "j", j % n)
 
 
 class LocalAction(Record):
@@ -50,9 +38,3 @@ def age(action: LocalAction) -> Fraction:
     """
     return Fraction(sum(action.exponents), action.n)
 
-
-def power_transport(action: LocalAction, u: int) -> LocalAction:
-    """Local action of the u-th power: every exponent is multiplied by u."""
-    if u < 1:
-        raise ValueError(f"power must be at least 1, got {u}")
-    return LocalAction(action.n, tuple((u * e) % action.n for e in action.exponents))

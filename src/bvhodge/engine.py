@@ -9,13 +9,13 @@ of the K3 surface directly with the four of the elliptic curve, each of
 which holds a single character k: the invariants of a product entry are
 the multiplicity of character -k in the K3 entry.  Four of the five K3
 entries are the same for every configuration of an order and are paired
-once, at import.  This is the character-0
-slice of the character-refined Kuenneth product, which the tests keep as
-an independent oracle (:func:`bvhodge.hodge.kunneth_character_product`).
+once, at import.  This is the character-0 slice of the character-refined
+Kuenneth product, which the tests keep as an independent oracle
+(:func:`bvhodge.hodge.kunneth_character_product`).
 
 For each nontrivial power g^r of the generator, the fixed locus is a
 disjoint union of products (curve or point on the K3 side) x (fixed point on
-the elliptic side); the group permutes these components and acts on their
+the elliptic side); the group permutes these products and acts on their
 cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
 per-order weights w, read once at import from the orbit sizes of
@@ -25,6 +25,7 @@ diagonally.  A curve of genus g in the default split has g_quot*w[0] +
 the nonzero characters of its residual order rho.  A curve has local
 exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
 (u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
+A sector keeps only the sum of its classes; the tests build them one by one.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
@@ -39,17 +40,15 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import Optional, Union
+from typing import Optional
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
 from .fixed_locus import (
     ELLIPTIC_ORBITS,
     SUPPORTED_ORDERS,
-    CurveOrbit,
     InvariantError,
     K3Config,
     PointOrbit,
-    curve_character_dims,
     euler_fixed_set,
     validate,
 )
@@ -153,77 +152,24 @@ def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
     return HodgeDiamond(3, table)
 
 
-def _table(entries) -> Table:
-    """4x4 table holding at each (p, q) the sum of the values of the (p, q, value) entries."""
-    table = [[0] * 4 for _ in range(4)]
-    for p, q, v in entries:
-        table[p][q] += v
-    return tuple(map(tuple, table))
-
-
-class SectorComponent(Record):
-    """One class of components of a twisted sector, with its local exponents and age.
-
-    ``kind`` is "curve" or "point".  ``entries`` are the (p, q, value) triples
-    the class adds to the diamond, ``count`` times over and shifted by the age;
-    ``table`` is built on read.
-    """
-
-    __slots__ = ("kind", "source", "exponents", "age", "entries")
-
-    def __init__(self, kind: str, source: Union[CurveOrbit, PointOrbit],
-                 exponents: tuple[int, ...], age: int, entries: tuple[tuple[int, int, int], ...]):
-        setfield(self, "kind", kind)
-        setfield(self, "source", source)
-        setfield(self, "exponents", exponents)
-        setfield(self, "age", age)
-        setfield(self, "entries", entries)
-
-    @property
-    def table(self) -> Table:
-        return _table(self.entries)
-
-    @property
-    def increment(self) -> HodgeDiamond:
-        return HodgeDiamond(3, self.table)
-
-
-def _point_local(point: PointOrbit, n: int, r: int) -> tuple[tuple[int, ...], int]:
-    """Local exponents and age of a point in the sector of g^r; a non-crepant one raises."""
+def _point_age(point: PointOrbit, n: int, r: int) -> int:
+    """Age of a point in the sector of g^r; a non-crepant one raises."""
     u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
     exponents = (u * point.type_exponents[0] % n, u * point.type_exponents[1] % n, n - r)
     a, rest = divmod(sum(exponents), n)
     if rest or a not in (1, 2):
         raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
-    return exponents, a
+    return a
 
 
 class SectorContribution(Record):
     """Everything the sector of one nontrivial power of the generator adds."""
 
-    __slots__ = ("power", "config", "table")
+    __slots__ = ("power", "table")
 
-    def __init__(self, power: int, config: K3Config, table: Table):
+    def __init__(self, power: int, table: Table):
         setfield(self, "power", power)
-        setfield(self, "config", config)
         setfield(self, "table", table)
-
-    @property
-    def components(self) -> tuple[SectorComponent, ...]:
-        """The component classes, built on read; a curve pairs its character split with w."""
-        n, r, weights, out = self.config.n, self.power, _SECTOR_WEIGHTS[self.config.n], []
-        d = n // gcd(r, n)
-        for curve in (record := self.config.record(d)).curves:
-            w = weights[d, curve.orbit_size]
-            forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
-            h0 = curve.count * w[0]
-            out.append(SectorComponent("curve", curve, (0, r, n - r), 1,
-                                       ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))))
-        for point in record.points:
-            exponents, a = _point_local(point, n, r)
-            h0 = point.count * weights[d, point.orbit_size][0]
-            out.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
-        return tuple(out)
 
     @property
     def increment(self) -> HodgeDiamond:
@@ -262,9 +208,9 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
         h0[0] += curve.count * w[0]
         h21 += curve.count * forms
     for point in record.points:
-        h0[_point_local(point, n, r)[1]] += point.count * weights[d, point.orbit_size][0]
+        h0[_point_age(point, n, r)] += point.count * weights[d, point.orbit_size][0]
     total = ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))
-    return SectorContribution(r, cfg, total)
+    return SectorContribution(r, total)
 
 
 def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:

@@ -166,24 +166,6 @@ ELLIPTIC_ORBITS = {
 }
 
 
-def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:
-    """Character split of H^{1,0} of one member of a validated curve orbit.
-
-    The residual group of order rho embeds into C_n as the subgroup generated
-    by the character index n/rho, so the split is reported directly in C_n
-    characters: ``char_dims`` when given, else the quotient genus at
-    character 0 and the rest spread evenly over the other multiples of n/rho,
-    which :func:`validate` has checked to be possible.
-    """
-    if curve.char_dims is not None:
-        return curve.char_dims
-    rho, gq = curve.residual_order, curve.quotient_genus
-    c = [gq] + [0] * (n - 1)
-    for t in range(1, rho):
-        c[t * n // rho] = (curve.genus - gq) // (rho - 1)
-    return tuple(c)
-
-
 def euler_fixed_set(cfg: K3Config, j: int) -> int:
     """Euler characteristic of the fixed set of the j-th power on S.
 

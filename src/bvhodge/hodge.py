@@ -9,6 +9,9 @@ Three building blocks, all exact data:
   used for the eigenspace decomposition of the cohomology of a variety with
   a C_n action.
 
+The engine and the CLI use only the diamond; the character types and the
+Kuenneth product are test oracles, kept here while the bench hooks them.
+
 Tables attached to a single eigenspace are genuinely asymmetric in (p, q);
 symmetry is asserted only for final quotient invariants, never here.  No
 floating point is used anywhere.  The value types check shapes, moduli and
@@ -221,9 +224,3 @@ def kunneth_character_product(
                     grid[p][q] = grid[p][q] + va.convolve(vb)
     return BigradedCharacterTable(n, d, tuple(tuple(row) for row in grid))
 
-
-def invariant_diamond(table: BigradedCharacterTable) -> HodgeDiamond:
-    """Extract the character-0 multiplicity at every bidegree."""
-    return HodgeDiamond(
-        table.d, tuple(tuple(vec.c[0] for vec in row) for row in table.grid)
-    )

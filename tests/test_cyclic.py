@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bvhodge.cyclic import GroupElement, LocalAction, age, power_transport
+from bvhodge.cyclic import LocalAction, age
+from oracles import GroupElement, power_transport
 
 
 def age_is_integral_iff_unimodular(action: LocalAction) -> tuple[bool, bool]:

@@ -31,12 +31,18 @@ from bvhodge import (
 )
 from bvhodge import engine, hodge
 from bvhodge.closed_forms import euler_formula
-from bvhodge.cyclic import LocalAction, age, power_transport
+from bvhodge.cyclic import LocalAction, age
 from bvhodge.engine import sector_contribution, untwisted_diamond
-from bvhodge.fixed_locus import curve_character_dims, euler_fixed_set
-from bvhodge.hodge import euler_characteristic, invariant_diamond, kunneth_character_product
+from bvhodge.fixed_locus import euler_fixed_set
+from bvhodge.hodge import euler_characteristic, kunneth_character_product
 from generators import samples
-from oracles import eager_sector_components
+from oracles import (
+    curve_character_dims,
+    eager_sector_components,
+    invariant_diamond,
+    power_transport,
+    table_of,
+)
 from test_fuzz import raw_form
 from test_hodge_algebra import e_table, k3_table
 
@@ -120,7 +126,7 @@ def test_sectors_order4_worked_instance():
     assert s1.increment.entry(2, 2) == 2 * 2 + 2 * 6  # curves + the age-2 points
     assert s3.h11 == 2 * 2 + 2 * 6               # all ages drop to 1
     assert s2.h11 == 3 * 2 + 3 * 3 + 4 * 1
-    assert all(c.age in (1, 2) for s in (s1, s2, s3) for c in s.components)
+    assert all(c.age in (1, 2) for j in (1, 2, 3) for c in eager_sector_components(cfg, j))
 
 
 def test_sector_order6_cube_with_genus_data():
@@ -169,8 +175,9 @@ def _one_orbit_config(n, r, curves=(), points=()):
 
 
 def test_point_ages_match_the_cyclic_oracle():
-    # every (order, power, both type exponents mod the order): the engine's integer
-    # age against the Fraction age of the local action in bvhodge.cyclic
+    # every (order, power, both type exponents mod the order): the oracle component's
+    # integer age, and the cell the engine serves it in, against the Fraction age of
+    # the local action in bvhodge.cyclic
     keys = [(n, r, t1, t2) for n in (2, 3, 4, 6) for r in range(1, n)
             for t1 in range(n) for t2 in range(n)]
     assert len(keys) == 250
@@ -182,8 +189,9 @@ def test_point_ages_match_the_cyclic_oracle():
         valid = validate(cfg) == []
         accepted += valid
         if age(local) in (1, 2):
-            (component,) = sector_contribution(cfg, r).components
+            (component,) = eager_sector_components(cfg, r)
             assert (component.exponents, component.age) == (local.exponents, age(local))
+            assert sector_contribution(cfg, r).table == component.table  # the served age
         else:
             assert not valid, (n, r, t1, t2)
             with pytest.raises(ValueError, match="non-crepant"):
@@ -195,9 +203,10 @@ def test_curve_exponents_have_age_one():
     for n in (2, 3, 4, 6):
         for r in range(1, n):
             cfg = _one_orbit_config(n, r, curves=(CurveOrbit(genus=2),))
-            (component,) = sector_contribution(cfg, r).components
+            (component,) = eager_sector_components(cfg, r)
             assert component.exponents == (0, r, n - r)
             assert component.age == age(LocalAction(n, component.exponents)) == 1
+            assert sector_contribution(cfg, r).table == component.table
 
 
 def test_cli_import_loads_no_rational_arithmetic():
@@ -302,12 +311,17 @@ def _sector_configs():
 
 
 def test_sector_table_sums_its_components_entries():
-    # the sector sums its cells in place; the components keep the entries that explain them
-    for cfg in _sector_configs():
+    # the sector sums its cells in place; the oracle's components hold the entries behind them
+    configs = _sector_configs() + [_explicit_split_config()]
+    configs += [s.config for order in (2, 3, 4, 6) for s in samples(order, 500)]
+    built = 0
+    for cfg in configs:
         for j in range(1, cfg.n):
-            sector = sector_contribution(cfg, j)
-            entries = [e for component in sector.components for e in component.entries]
-            assert sector.table == engine._table(entries), (cfg, j)
+            components = eager_sector_components(cfg, j)
+            entries = [e for component in components for e in component.entries]
+            assert sector_contribution(cfg, j).table == table_of(entries), (cfg, j)
+            built += len(components)
+    assert built > 2000 * 3
 
 
 @pytest.mark.parametrize("where, cells", [
@@ -328,7 +342,7 @@ def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, cells):
         table = tuple(map(tuple, rows))
         if where == "untwisted_diamond":
             return hodge.HodgeDiamond(3, table)
-        return engine.SectorContribution(part.power, part.config, table)
+        return engine.SectorContribution(part.power, table)
 
     monkeypatch.setattr(engine, where, broken)
     with pytest.raises(RuntimeError, match="malformed diamond"):
@@ -345,29 +359,8 @@ def _explicit_split_config():
     return cfg
 
 
-def test_sector_components_match_the_eager_builder():
-    # components are built on read, by the route the engine once took for every sector
-    configs = [s.config for order in (2, 3, 4, 6) for s in samples(order, 500)]
-    configs += list(_exit0_fixture_configs()) + [_explicit_split_config()]
-    built = 0
-    for cfg in configs:
-        for j in range(1, cfg.n):
-            components = sector_contribution(cfg, j).components
-            assert components == eager_sector_components(cfg, j), (cfg, j)
-            built += len(components)
-    assert built > 2000 * 3
-
-
-def test_serving_path_builds_no_sector_component(monkeypatch):
-    # the sectors sum their cells from the records; components wait for a reader
-    def refuse(*args, **kwargs):
-        raise AssertionError("sector component or character split built on the serving path")
-
-    cfg = from_invariants_order4(**WORKED_ORDER4)
-    monkeypatch.setattr(engine.SectorComponent, "__init__", refuse)
-    monkeypatch.setattr(engine, "curve_character_dims", refuse)
-    with pytest.raises(AssertionError, match="serving path"):  # the guard is live
-        sector_contribution(cfg, 1).components
+def test_serving_path_runs_every_exit0_document():
+    # the sectors sum their cells from the records, explicit char_dims included
     texts = [cli.load_fixture_text(name) for name in EXIT0_FIXTURES]
     texts.append(json.dumps({"order": 6, "raw": raw_form(_explicit_split_config())}))
     for n in (2, 3, 4, 6):
@@ -380,7 +373,7 @@ def test_serving_path_builds_no_sector_component(monkeypatch):
 
 
 def test_orbifold_diamond_raises_on_a_non_crepant_point():
-    # the age check runs on the serving path, not only when components are read
+    # the serving path checks every point's age as it sums the sector
     rec = SubgroupFixedRecord(4, points=(PointOrbit((1, 1)),))
     cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
     with pytest.raises(ValueError, match="non-crepant local data: point age 5/4"):
@@ -445,7 +438,7 @@ def test_split_weights_match_the_character_pairing_at_large_genera(drawn):
 def test_sector_curve_ages_always_one():
     cfg = from_invariants_order6(**ORDER6_GD1)
     for j in range(1, 6):
-        for comp in sector_contribution(cfg, j).components:
+        for comp in eager_sector_components(cfg, j):
             if comp.kind == "curve":
                 assert comp.age == 1
 

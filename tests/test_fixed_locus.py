@@ -1,6 +1,7 @@
 """Elliptic orbits, validation, Euler characteristics and the named constructors."""
 
 import json
+import re
 from math import gcd
 
 import pytest
@@ -20,16 +21,17 @@ from bvhodge import (
     from_invariants_order6,
     validate,
 )
+from bvhodge import cli
 from bvhodge.cli import EXIT_INVALID, run_text
 from bvhodge.engine import _SECTOR_WEIGHTS
 from bvhodge.fixed_locus import (
     ELLIPTIC_ORBITS,
     SUPPORTED_ORDERS,
-    curve_character_dims,
     euler_fixed_set,
 )
 from bvhodge.hodge import CharacterVector
 from generators import samples
+from oracles import curve_character_dims
 
 
 def curves_in(record):
@@ -364,6 +366,41 @@ def test_order6_constructor_rejects_top_genus_two():
         from_invariants_order6(r=2, m=4, l=1, k=1, N=1, a=0, b=0, n_prime=0,
                                p25=0, p34=0, g_D=2, g_G=1, g_G_quot=1,
                                g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
+
+
+def _bad_invariants():
+    """(order, invariants with one integer replaced, the key=value the error names)."""
+    for n in SUPPORTED_ORDERS:
+        base = samples(n, 1, seed=31)[0].invariants
+        for key, value in base.items():
+            if key == "curve_genera":
+                for i in range(len(value)):
+                    for bad in (-1, True):
+                        genera = value[:i] + [bad] + value[i + 1:]
+                        yield n, dict(base, curve_genera=genera), f"genus[{i}]={bad}"
+            elif key != "D_type":
+                for bad in (-1, True):
+                    yield n, dict(base, **{key: bad}), f"{key}={bad}"
+
+
+BAD_INVARIANTS = list(_bad_invariants())
+
+
+def test_constructors_name_every_negative_or_bool_invariant(tmp_path, capsys):
+    # the early argument check is the only one that sees them: _curves and _points drop
+    # a spec whose count is not positive, so a count of -1 would vanish from the records
+    assert len(BAD_INVARIANTS) == 2 * (4 + 5 + 8 + 17)  # every integer; D_type is a string
+    constructors = {2: from_invariants_order2, 3: from_invariants_order3,
+                    4: from_invariants_order4, 6: from_invariants_order6}
+    doc = tmp_path / "doc.json"
+    for n, invariants, named in BAD_INVARIANTS:
+        with pytest.raises(InvariantError, match=re.escape(named)):
+            constructors[n](**invariants)
+        if "True" in named:  # a JSON boolean is a schema error, exit 1, before any constructor
+            continue
+        doc.write_text(json.dumps({"order": n, "invariants": invariants}), encoding="utf-8")
+        assert cli.main(["--input", str(doc)]) == EXIT_INVALID, named
+        assert named in capsys.readouterr().out
 
 
 # --- the records each constructor builds recount to its invariants ----------------

@@ -13,12 +13,12 @@ from bvhodge.hodge import (
     HodgeDiamond,
     ModulusMismatch,
     euler_characteristic,
-    invariant_diamond,
     kunneth_character_product,
     pictogram,
 )
 from bvhodge import cli
 import oracles
+from oracles import invariant_diamond
 
 MODULI = (2, 3, 4, 6)
 
