@@ -27,7 +27,7 @@ from bvhodge.fixed_locus import (
     from_invariants_order3,
 )
 from bvhodge.hodge import BigradedCharacterTable, CharacterVector, HodgeDiamond
-from oracles import GroupElement
+from oracles import GroupElement, eager_sector_components
 
 NAMED_FIXTURES = ("order2_two_curves", "order3_curve_and_point",
                   "order4_first_type", "order6_elliptic_top_curve")
@@ -41,6 +41,7 @@ def _samples():
     """(record, field names in order, a differing record of the same class)."""
     cfg = _config("order4_first_type")
     sector = sector_contribution(cfg, 1)
+    components = eager_sector_components(cfg, 1)
     report = crosscheck(cfg)
     return [
         (Violation("order3", "bad"), ("where", "message"), Violation("order3", "worse")),
@@ -58,6 +59,7 @@ def _samples():
         (BigradedCharacterTable.one_point(3), ("n", "d", "grid"),
          BigradedCharacterTable.one_point(2)),
         (HodgePair(3, 4), ("h11", "h21"), HodgePair(4, 3)),
+        (components[0], ("kind", "source", "exponents", "age", "entries"), components[-1]),
         (sector, ("power", "table"), sector_contribution(cfg, 2)),
         (Check("cy_relation", "pass", 1, 1), ("name", "status", "lhs", "rhs"),
          Check("cy_relation", "fail", 1, 2)),
