@@ -1,7 +1,7 @@
 """Command-line driver: JSON configuration in, verified Hodge data out.
 
-Exit codes: 0 success (all enabled checks pass), 1 parse error, 2
-validation failure, 3 cross-check mismatch.
+Exit codes: 0 success (all enabled checks pass), 1 parse error (a usage
+error included), 2 validation failure, 3 cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _parse_raw(order: int, doc: dict) -> K3Config:
         points = tuple(_parse_point(p, (here, ".points"), pi) for pi, p in
                        enumerate(_as_list(sub.get("points", []), here, ".points")))
         records.append(SubgroupFixedRecord(d, curves, points))
-    return K3Config(order, EigenspaceDims(order, dims), tuple(records))
+    return K3Config(order, EigenspaceDims(order, dims), records)
 
 
 def parse_config(doc: dict) -> K3Config:
@@ -388,12 +388,16 @@ def main(argv=None) -> int:
         description="Hodge diamonds of crepant resolutions of (K3 x E)/C_n quotients, "
                     "computed exactly and cross-checked.",
     )
-    parser.add_argument("--input", metavar="PATH", help="configuration JSON (default: stdin)")
-    parser.add_argument("--fixture", metavar="NAME", help="run a bundled fixture instead")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--input", metavar="PATH", help="configuration JSON (default: stdin)")
+    source.add_argument("--fixture", metavar="NAME", help="run a bundled fixture instead")
     parser.add_argument("--list-fixtures", action="store_true", help="list bundled fixtures")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--no-checks", action="store_true", help="skip the cross-checks")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse, its message printed, exits 2 on a usage error
+        return EXIT_PARSE if exc.code else EXIT_OK  # and 0 after --help
 
     if args.list_fixtures:
         for name in fixture_names():

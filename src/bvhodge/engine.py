@@ -1,8 +1,9 @@
 """Twisted-sector cohomology engine for the (K3 x E)/C_n quotients.
 
 Every number is a plain integer sum of invariant pairings of character
-tuples, written straight into 4x4 tables; one :class:`HodgeDiamond` is
-built for the untwisted part and one for the result, which is checked.
+tuples, written straight into 4x4 tables: the untwisted part and each
+twisted sector are bare tables, and the only :class:`HodgeDiamond` of a
+run is their sum, which is checked.
 
 The untwisted part pairs the five eigenspace entries (p, q, characters)
 of the K3 surface directly with the four of the elliptic curve, each of
@@ -133,8 +134,8 @@ _UNTWISTED_FRAME = {n: _untwisted_frame(n) for n in SUPPORTED_ORDERS}
 # the untwisted part and the twisted sectors
 
 
-def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
-    """Invariant part of the cohomology of the product, as a threefold diamond.
+def untwisted_diamond(cfg: K3Config) -> Table:
+    """Invariant part of the cohomology of the product, as a 4x4 threefold table.
 
     The (1,1) part of the K3 surface carries the eigenspace dimensions less
     the period and its conjugate; eigenspaces too small to hold them raise
@@ -149,7 +150,7 @@ def untwisted_diamond(cfg: K3Config) -> HodgeDiamond:
     table = list(map(list, _UNTWISTED_FRAME[n]))
     for p2, q2, k in _ELLIPTIC[n]:  # the frame plus the (1,1) entry: four cells
         table[1 + p2][1 + q2] += dims[-k]
-    return HodgeDiamond(3, table)
+    return tuple(map(tuple, table))
 
 
 def _point_age(point: PointOrbit, n: int, r: int) -> int:
@@ -162,30 +163,8 @@ def _point_age(point: PointOrbit, n: int, r: int) -> int:
     return a
 
 
-class SectorContribution(Record):
-    """Everything the sector of one nontrivial power of the generator adds."""
-
-    __slots__ = ("power", "table")
-
-    def __init__(self, power: int, table: Table):
-        setfield(self, "power", power)
-        setfield(self, "table", table)
-
-    @property
-    def increment(self) -> HodgeDiamond:
-        return HodgeDiamond(3, self.table)
-
-    @property
-    def h11(self) -> int:
-        return self.table[1][1]
-
-    @property
-    def h21(self) -> int:
-        return self.table[2][1]
-
-
-def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
-    """Twisted sector of the j-th power of the generator (j nonzero).
+def sector_contribution(cfg: K3Config, j: int) -> Table:
+    """4x4 table the twisted sector of the j-th power of the generator adds (j nonzero).
 
     Assumes a structurally valid configuration.  A point age other than 1
     or 2 means the local data cannot belong to a crepant-resolvable
@@ -209,8 +188,7 @@ def sector_contribution(cfg: K3Config, j: int) -> SectorContribution:
         h21 += curve.count * forms
     for point in record.points:
         h0[_point_age(point, n, r)] += point.count * weights[d, point.orbit_size][0]
-    total = ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))
-    return SectorContribution(r, total)
+    return ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))
 
 
 def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
@@ -220,9 +198,9 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
     internal inconsistency and is raised, not returned.
     """
-    table = list(map(list, untwisted_diamond(cfg).table))
+    table = list(map(list, untwisted_diamond(cfg)))
     for r in range(1, cfg.n):
-        (_, (_, h11, h12, _), (_, h21, h22, _), _) = sector_contribution(cfg, r).table
+        (_, (_, h11, h12, _), (_, h21, h22, _), _) = sector_contribution(cfg, r)
         table[1][1] += h11
         table[1][2] += h12
         table[2][1] += h21
@@ -266,10 +244,6 @@ class Check(Record):
         setfield(self, "lhs", lhs)
         setfield(self, "rhs", rhs)
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
 
 #: the closed-form checks of a configuration without named invariants
 _SKIPPED_CLOSED_FORM = tuple(Check(name, "skipped") for name in
@@ -294,7 +268,7 @@ class CrosscheckReport(Record):
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.status != "fail" for c in self.checks)
 
 
 def _check(name, lhs, rhs) -> Check:

@@ -117,8 +117,8 @@ class SubgroupFixedRecord(Record):
     def __init__(self, subgroup_order: int, curves: tuple[CurveOrbit, ...] = (),
                  points: tuple[PointOrbit, ...] = ()):
         setfield(self, "subgroup_order", subgroup_order)
-        setfield(self, "curves", curves)
-        setfield(self, "points", points)
+        setfield(self, "curves", tuple(curves))
+        setfield(self, "points", tuple(points))
 
     def point_count(self) -> int:
         return sum(p.count * p.orbit_size for p in self.points)
@@ -142,7 +142,7 @@ class K3Config(Record):
                  records: tuple[SubgroupFixedRecord, ...], invariants: Optional[dict] = None):
         setfield(self, "n", n)
         setfield(self, "eigenspace", eigenspace)
-        setfield(self, "records", records)
+        setfield(self, "records", tuple(records))
         setfield(self, "invariants", invariants)
         if not isinstance(self.n, int) or self.n not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported order {self.n}; supported: {SUPPORTED_ORDERS}")

@@ -123,17 +123,17 @@ def test_criterion_6_sector_tables(suites):
         inv = sample.invariants
         k, b, a = inv["k"], inv["b"], inv["a"]
         n_pts = inv["n1"] + inv["n2"]
-        assert sector_contribution(sample.config, 1).h11 == 2 * k
-        assert sector_contribution(sample.config, 3).h11 == 2 * k + 2 * n_pts
-        assert sector_contribution(sample.config, 2).h11 == 3 * k + 3 * b + 4 * a
+        assert sector_contribution(sample.config, 1)[1][1] == 2 * k
+        assert sector_contribution(sample.config, 3)[1][1] == 2 * k + 2 * n_pts
+        assert sector_contribution(sample.config, 2)[1][1] == 3 * k + 3 * b + 4 * a
     for sample in suites[6]:
         inv = sample.invariants
-        s = {j: sector_contribution(sample.config, j) for j in range(1, 6)}
-        assert s[1].h11 == inv["l"]
-        assert s[5].h11 == inv["l"] + inv["p25"] + inv["p34"]
-        assert s[2].h11 + s[4].h11 == (4 * inv["k"] - 2 * inv["b"]
-                                       + 2 * inv["p25"] + 3 * inv["n_prime"])
-        assert s[3].h11 == 2 * inv["N"] - 2 * inv["a"]
+        h11 = {j: sector_contribution(sample.config, j)[1][1] for j in range(1, 6)}
+        assert h11[1] == inv["l"]
+        assert h11[5] == inv["l"] + inv["p25"] + inv["p34"]
+        assert h11[2] + h11[4] == (4 * inv["k"] - 2 * inv["b"]
+                                   + 2 * inv["p25"] + 3 * inv["n_prime"])
+        assert h11[3] == 2 * inv["N"] - 2 * inv["a"]
     _report(6, "per-sector summands reproduce the order-4 and order-6 tables")
 
 

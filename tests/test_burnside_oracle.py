@@ -116,7 +116,7 @@ def assert_sector_matches_oracle(config):
         for comp in eager_sector_components(config, j):
             for (p, q), dim in oracle_component_dims(n, comp, e_sizes).items():
                 expected[p + comp.age][q + comp.age] += comp.source.count * dim
-        got = sector_contribution(config, j).table
+        got = sector_contribution(config, j)
         assert got == tuple(map(tuple, expected)), (n, j, got, expected)
 
 

@@ -454,6 +454,26 @@ def test_main_no_checks_turns_inconsistent_fixture_green(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--format", "xml"), "argument --format: invalid choice: 'xml'"),
+    (("--bogus",), "unrecognized arguments: --bogus"),
+    (("--fixture", "order4_first_type", "--input", "config.json"),
+     "argument --input: not allowed with argument --fixture"),
+], ids=["bad-format", "unknown-option", "fixture-and-input"])
+def test_main_usage_errors_are_parse_errors(capsys, args, message):
+    # exit 2 is kept for a validation failure; argparse's own message stays on stderr
+    code, out, err = run_cli(capsys, *args)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("usage: bvhodge") and f"bvhodge: error: {message}" in err
+
+
+def test_main_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == cli.EXIT_OK
+    assert out.startswith("usage: bvhodge") and "--fixture" in out and err == ""
+
+
 NOT_UTF8 = b'\xff\xfe{"order": 2}'
 
 
@@ -478,6 +498,14 @@ def test_cli_process_refuses_stdin_that_is_not_utf8():
     assert done.returncode == cli.EXIT_PARSE
     assert done.stdout == b""
     assert done.stderr == b"error: <stdin>: not valid UTF-8\n"
+
+
+def test_cli_process_exits_1_on_a_usage_error():
+    done = _cli_process("--format", "xml")
+    assert done.returncode == cli.EXIT_PARSE
+    assert done.stdout == b""
+    assert b"invalid choice: 'xml'" in done.stderr
+    assert _cli_process("--help").returncode == cli.EXIT_OK
 
 
 def test_cli_process_lists_and_runs_fixtures():
