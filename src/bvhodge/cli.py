@@ -1,12 +1,14 @@
 """Command-line driver: JSON configuration in, verified Hodge data out.
 
 Exit codes: 0 success (all enabled checks pass), 1 parse error (a usage
-error included), 2 validation failure, 3 cross-check mismatch.
+error or a closed stdout included), 2 validation failure, 3 cross-check
+mismatch.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -391,7 +393,7 @@ def main(argv=None) -> int:
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--input", metavar="PATH", help="configuration JSON (default: stdin)")
     source.add_argument("--fixture", metavar="NAME", help="run a bundled fixture instead")
-    parser.add_argument("--list-fixtures", action="store_true", help="list bundled fixtures")
+    source.add_argument("--list-fixtures", action="store_true", help="list bundled fixtures")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--no-checks", action="store_true", help="skip the cross-checks")
     try:
@@ -400,9 +402,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK  # and 0 after --help
 
     if args.list_fixtures:
-        for name in fixture_names():
-            print(name)
-        return EXIT_OK
+        return _write_stdout("".join(f"{name}\n" for name in fixture_names()), EXIT_OK)
     try:
         if args.fixture:
             text = load_fixture_text(args.fixture)
@@ -427,7 +427,20 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    sys.stdout.write(rendered)
+    return _write_stdout(rendered, code)
+
+
+def _write_stdout(text: str, code: int) -> int:
+    """Write and flush ``text``; exit 1 instead of ``code`` if stdout's reader has gone."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; into devnull that flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARSE
     return code
 
 

@@ -1,6 +1,8 @@
-"""Linearized local actions and their ages: the engine's test oracle.
+"""The age of a linearized local action: a test oracle the bench still hooks.
 
-The engine never imports it; it stays in ``src/`` while the bench hooks :func:`age`.
+The engine never imports it; :func:`age` stays in ``src/`` only because
+``bench/tracer.py`` hooks ``cyclic.age``.  The local actions it reads are
+built by the tests, in ``tests/oracles.py``.
 
 Conventions, fixed once for the whole package:
 
@@ -15,26 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import Record, setfield
 
-
-class LocalAction(Record):
-    """Cotangent exponents of a linearized finite-order action at a point."""
-
-    __slots__ = ("n", "exponents")
-
-    def __init__(self, n: int, exponents: tuple[int, ...]):
-        if n < 1:
-            raise ValueError(f"modulus must be at least 1, got {n}")
-        setfield(self, "n", n)
-        setfield(self, "exponents", tuple(int(e) % n for e in exponents))
-
-
-def age(action: LocalAction) -> Fraction:
+def age(action) -> Fraction:
     """Sum of the eigenvalue exponents divided by n, as an exact rational.
 
-    Writing the eigenvalues as exp(2*pi*i*a_k) with a_k in [0, 1), the age
-    is sum_k a_k.  It is an integer exactly when the determinant is 1.
+    ``action`` is anything with an integer modulus ``n`` and a tuple of
+    ``exponents`` reduced mod n.  Writing the eigenvalues as
+    exp(2*pi*i*a_k) with a_k in [0, 1), the age is sum_k a_k.  It is an
+    integer exactly when the determinant is 1.
     """
     return Fraction(sum(action.exponents), action.n)
-

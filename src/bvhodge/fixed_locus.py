@@ -89,10 +89,6 @@ class CurveOrbit(Record):
         setfield(self, "char_dims", None if char_dims is None else tuple(char_dims))
         setfield(self, "count", count)
 
-    def euler_members(self) -> int:
-        """Euler characteristic of the full orbit times ``count``."""
-        return self.count * self.orbit_size * (2 - 2 * self.genus)
-
 
 class PointOrbit(Record):
     """An orbit of isolated fixed points of one subgroup.
@@ -119,12 +115,6 @@ class SubgroupFixedRecord(Record):
         setfield(self, "subgroup_order", subgroup_order)
         setfield(self, "curves", tuple(curves))
         setfield(self, "points", tuple(points))
-
-    def point_count(self) -> int:
-        return sum(p.count * p.orbit_size for p in self.points)
-
-    def euler(self) -> int:
-        return sum(c.euler_members() for c in self.curves) + self.point_count()
 
 
 class K3Config(Record):
@@ -170,12 +160,15 @@ def euler_fixed_set(cfg: K3Config, j: int) -> int:
     """Euler characteristic of the fixed set of the j-th power on S.
 
     The identity gives the full K3 value 24; otherwise the fixed set is the
-    one of the subgroup generated by the power, read off its record.
+    one of the subgroup generated by the power, read off its record: each
+    member of a curve orbit adds 2 - 2g, each isolated point 1.
     """
     r = j % cfg.n
     if r == 0:
         return K3_EULER
-    return cfg.record(cfg.n // gcd(r, cfg.n)).euler()
+    rec = cfg.record(cfg.n // gcd(r, cfg.n))
+    return (sum(c.count * c.orbit_size * (2 - 2 * c.genus) for c in rec.curves)
+            + sum(p.count * p.orbit_size for p in rec.points))
 
 
 # ---------------------------------------------------------------------------

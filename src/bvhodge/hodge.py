@@ -1,26 +1,24 @@
-"""Bigraded dimension tables and cyclic-group character bookkeeping.
+"""Hodge diamonds, and the character bookkeeping the bench still hooks.
 
-Three building blocks, all exact data:
+The serving path uses :class:`HodgeDiamond`, a table of dimensions h^{p,q}
+for 0 <= p,q <= d, its drawing :func:`pictogram` and
+:func:`euler_characteristic`.
 
-* :class:`HodgeDiamond`, a table of dimensions h^{p,q} for 0 <= p,q <= d;
-* :class:`CharacterVector`, multiplicities of the characters of a cyclic
-  group C_n relative to one fixed generator;
-* :class:`BigradedCharacterTable`, a Hodge-type table refined by characters,
-  used for the eigenspace decomposition of the cohomology of a variety with
-  a C_n action.
+The rest is a test oracle that stays here only because ``bench/tracer.py``
+hooks ``CharacterVector`` and ``kunneth_character_product``:
+:class:`CharacterVector`, the multiplicities of the characters of a cyclic
+group C_n relative to one fixed generator, with :class:`ModulusMismatch`;
+and :func:`kunneth_character_product`, the character-refined Kuenneth
+product of two square grids of such vectors, whose character-0 slice the
+tests compare with the engine's untwisted part.
 
-The engine and the CLI use only the diamond; the character types and the
-Kuenneth product are test oracles, kept here while the bench hooks them.
-
-Tables attached to a single eigenspace are genuinely asymmetric in (p, q);
+A grid attached to a single eigenspace is genuinely asymmetric in (p, q);
 symmetry is asserted only for final quotient invariants, never here.  No
 floating point is used anywhere.  The value types check shapes, moduli and
 signs but keep their entries as given, so a ``Fraction`` stays a ``Fraction``.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from .record import Record, setfield
 
@@ -51,28 +49,6 @@ class CharacterVector(Record):
     @classmethod
     def zero(cls, n: int) -> "CharacterVector":
         return cls(n, (0,) * n)
-
-    @classmethod
-    def delta(cls, n: int, j: int, mult: int = 1) -> "CharacterVector":
-        """``mult`` copies of the single character of index ``j``."""
-        c = [0] * n
-        c[j % n] = mult
-        return cls(n, tuple(c))
-
-    @classmethod
-    def orbit(cls, n: int, size: int) -> "CharacterVector":
-        """Permutation character of C_n acting on an orbit of ``size`` points.
-
-        The characters that occur are exactly those trivial on the orbit
-        stabilizer, i.e. the multiples of n/size, each with multiplicity one.
-        """
-        if size < 1 or n % size != 0:
-            raise ValueError(f"orbit size {size} does not divide {n}")
-        step = n // size
-        c = [0] * n
-        for t in range(size):
-            c[t * step] = 1
-        return cls(n, tuple(c))
 
     def total(self) -> int:
         return sum(self.c)
@@ -152,75 +128,30 @@ def euler_characteristic(diamond: HodgeDiamond) -> int:
                for p, row in enumerate(diamond.table))
 
 
-class BigradedCharacterTable(Record):
-    """A CharacterVector for every bidegree (p, q), 0 <= p,q <= d.
-
-    Houses the eigenspace-refined cohomology of a variety with a C_n action;
-    the invariant part of any bidegree is the character-0 slice.
-    """
-
-    __slots__ = ("n", "d", "grid")
-
-    def __init__(self, n: int, d: int, grid: tuple[tuple[CharacterVector, ...], ...]):
-        setfield(self, "n", n)
-        setfield(self, "d", d)
-        setfield(self, "grid", grid)
-        if len(grid) != d + 1 or any(len(r) != d + 1 for r in grid):
-            raise ValueError(f"grid must be {d + 1} x {d + 1}")
-        for row in grid:
-            for vec in row:
-                if vec.n != n:
-                    raise ModulusMismatch(f"modulus mismatch inside table: {vec.n} != {n}")
-
-    @classmethod
-    def from_entries(
-        cls, n: int, d: int, entries: Mapping[tuple[int, int], CharacterVector]
-    ) -> "BigradedCharacterTable":
-        grid = [[CharacterVector.zero(n) for _ in range(d + 1)] for _ in range(d + 1)]
-        for (p, q), vec in entries.items():
-            if not (0 <= p <= d and 0 <= q <= d):
-                raise ValueError(f"entry ({p},{q}) outside 0..{d}")
-            grid[p][q] = vec
-        return cls(n, d, tuple(tuple(row) for row in grid))
-
-    @classmethod
-    def one_point(cls, n: int) -> "BigradedCharacterTable":
-        """The table of a point: dimension 0, trivial character, total 1."""
-        return cls(n, 0, ((CharacterVector.delta(n, 0),),))
-
-    def vector(self, p: int, q: int) -> CharacterVector:
-        return self.grid[p][q]
-
-    def total_diamond(self) -> HodgeDiamond:
-        """Forget the characters: per-(p,q) total dimensions."""
-        return HodgeDiamond(
-            self.d, tuple(tuple(vec.total() for vec in row) for row in self.grid)
-        )
+#: a square grid ``grid[p][q]`` of character vectors, one per bidegree, over one modulus
+Grid = tuple[tuple[CharacterVector, ...], ...]
 
 
-def kunneth_character_product(
-    a: BigradedCharacterTable, b: BigradedCharacterTable
-) -> BigradedCharacterTable:
-    """Character-refined Kuenneth product of two bigraded tables.
+def kunneth_character_product(a: Grid, b: Grid) -> Grid:
+    """Character-refined Kuenneth product of two square grids.
 
     At bidegree (p, q) the character j collects every way of writing
     p = p1+p2, q = q1+q2, j = j1+j2 (mod n) from the two factors.
     """
-    if a.n != b.n:
-        raise ModulusMismatch(f"modulus mismatch: {a.n} != {b.n}")
-    n, d = a.n, a.d + b.d
-    grid = [[CharacterVector.zero(n) for _ in range(d + 1)] for _ in range(d + 1)]
-    for p1 in range(a.d + 1):
-        for q1 in range(a.d + 1):
-            va = a.grid[p1][q1]
+    n = a[0][0].n
+    if b[0][0].n != n:
+        raise ModulusMismatch(f"modulus mismatch: {n} != {b[0][0].n}")
+    d = len(a) + len(b) - 2
+    zero = CharacterVector.zero(n)
+    grid = [[zero] * (d + 1) for _ in range(d + 1)]
+    for p1, row_a in enumerate(a):
+        for q1, va in enumerate(row_a):
             if va.total() == 0:
                 continue
-            for p2 in range(b.d + 1):
-                for q2 in range(b.d + 1):
-                    vb = b.grid[p2][q2]
+            for p2, row_b in enumerate(b):
+                for q2, vb in enumerate(row_b):
                     if vb.total() == 0:
                         continue
                     p, q = p1 + p2, q1 + q2
                     grid[p][q] = grid[p][q] + va.convolve(vb)
-    return BigradedCharacterTable(n, d, tuple(tuple(row) for row in grid))
-
+    return tuple(map(tuple, grid))

@@ -6,6 +6,9 @@ the samplers solve for (r, m), the Calabi-Yau Euler relation, the
 order-6 consistency functional, the character-0 slice of the Kuenneth
 product, the character split of a curve, and the sector components one
 by one, whose entries the engine sums straight into each sector's table.
+They also build the Kuenneth oracle's inputs (single characters, orbit
+characters and grids of character vectors) and the local actions whose
+ages :func:`bvhodge.cyclic.age` computes.
 """
 
 from math import gcd
@@ -13,9 +16,8 @@ from operator import mul
 
 from bvhodge import engine
 from bvhodge.closed_forms import HodgePair
-from bvhodge.cyclic import LocalAction
 from bvhodge.fixed_locus import CurveOrbit
-from bvhodge.hodge import BigradedCharacterTable, HodgeDiamond
+from bvhodge.hodge import CharacterVector, Grid, HodgeDiamond
 from bvhodge.record import Record, setfield
 
 
@@ -100,6 +102,21 @@ class GroupElement(Record):
         setfield(self, "j", j % n)
 
 
+class LocalAction(Record):
+    """Cotangent exponents of a linearized finite-order action at a point.
+
+    The exponents are reduced mod n; :func:`bvhodge.cyclic.age` reads both fields.
+    """
+
+    __slots__ = ("n", "exponents")
+
+    def __init__(self, n: int, exponents: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"modulus must be at least 1, got {n}")
+        setfield(self, "n", n)
+        setfield(self, "exponents", tuple(int(e) % n for e in exponents))
+
+
 def power_transport(action: LocalAction, u: int) -> LocalAction:
     """Local action of the u-th power: every exponent is multiplied by u."""
     if u < 1:
@@ -107,11 +124,43 @@ def power_transport(action: LocalAction, u: int) -> LocalAction:
     return LocalAction(action.n, tuple((u * e) % action.n for e in action.exponents))
 
 
-def invariant_diamond(table: BigradedCharacterTable) -> HodgeDiamond:
+def delta(n: int, j: int) -> CharacterVector:
+    """One copy of the single character of index ``j`` of C_n."""
+    c = [0] * n
+    c[j % n] = 1
+    return CharacterVector(n, tuple(c))
+
+
+def orbit(n: int, size: int) -> CharacterVector:
+    """Permutation character of C_n acting on an orbit of ``size`` points.
+
+    The characters that occur are exactly those trivial on the orbit
+    stabilizer, i.e. the multiples of n/size, each with multiplicity one.
+    """
+    if size < 1 or n % size != 0:
+        raise ValueError(f"orbit size {size} does not divide {n}")
+    step = n // size
+    return CharacterVector(n, tuple(int(j % step == 0) for j in range(n)))
+
+
+def character_grid(n: int, d: int, entries) -> Grid:
+    """(d+1) x (d+1) grid of C_n character vectors: ``entries[(p, q)]``, zero elsewhere."""
+    grid = [[CharacterVector.zero(n)] * (d + 1) for _ in range(d + 1)]
+    for (p, q), vec in entries.items():
+        if not (0 <= p <= d and 0 <= q <= d):
+            raise ValueError(f"entry ({p},{q}) outside 0..{d}")
+        grid[p][q] = vec
+    return tuple(map(tuple, grid))
+
+
+def total_diamond(grid: Grid) -> HodgeDiamond:
+    """Forget the characters: per-(p,q) total dimensions."""
+    return HodgeDiamond(len(grid) - 1, tuple(tuple(vec.total() for vec in row) for row in grid))
+
+
+def invariant_diamond(grid: Grid) -> HodgeDiamond:
     """Extract the character-0 multiplicity at every bidegree."""
-    return HodgeDiamond(
-        table.d, tuple(tuple(vec.c[0] for vec in row) for row in table.grid)
-    )
+    return HodgeDiamond(len(grid) - 1, tuple(tuple(vec.c[0] for vec in row) for row in grid))
 
 
 def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:

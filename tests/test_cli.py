@@ -459,7 +459,12 @@ def test_main_no_checks_turns_inconsistent_fixture_green(capsys):
     (("--bogus",), "unrecognized arguments: --bogus"),
     (("--fixture", "order4_first_type", "--input", "config.json"),
      "argument --input: not allowed with argument --fixture"),
-], ids=["bad-format", "unknown-option", "fixture-and-input"])
+    (("--list-fixtures", "--fixture", "nonsense", "--format", "json"),
+     "argument --fixture: not allowed with argument --list-fixtures"),
+    (("--input", "config.json", "--list-fixtures"),
+     "argument --list-fixtures: not allowed with argument --input"),
+], ids=["bad-format", "unknown-option", "fixture-and-input", "list-and-fixture",
+        "input-and-list"])
 def test_main_usage_errors_are_parse_errors(capsys, args, message):
     # exit 2 is kept for a validation failure; argparse's own message stays on stderr
     code, out, err = run_cli(capsys, *args)
@@ -486,10 +491,10 @@ def test_main_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     assert err == f"error: {path}: not valid UTF-8\n"
 
 
-def _cli_process(*args, stdin=b"", **env):
+def _cli_process(*args, stdin=b"", stdout=subprocess.PIPE, **env):
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "bvhodge.cli", *args], input=stdin,
-                          capture_output=True,
+                          stdout=stdout, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": str(src), **env})
 
 
@@ -516,3 +521,19 @@ def test_cli_process_lists_and_runs_fixtures():
     assert done.returncode == cli.EXIT_OK
     assert done.stdout.decode() == cli.run_text(
         cli.load_fixture_text("order4_first_type"), fmt="json")[0]
+
+
+@pytest.mark.parametrize("args", [
+    ("--list-fixtures",),
+    ("--fixture", "order6_elliptic_top_curve", "--format", "json"),
+], ids=["list-fixtures", "fixture-json"])
+def test_cli_process_exits_1_without_a_traceback_when_stdout_is_gone(args):
+    # the read end of stdout's pipe is closed before the run, so the first flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_process(*args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_PARSE
+    assert done.stderr == b""  # no traceback, and no "Exception ignored" from the exit flush

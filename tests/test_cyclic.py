@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bvhodge.cyclic import LocalAction, age
-from oracles import GroupElement, power_transport
+from bvhodge.cyclic import age
+from oracles import GroupElement, LocalAction, power_transport
 
 
 def age_is_integral_iff_unimodular(action: LocalAction) -> tuple[bool, bool]:

@@ -52,14 +52,6 @@ def _referenced(node: ast.stmt) -> set[str]:
     return used
 
 
-#: test-only members of the classes the bench hooks (``hodge.CharacterVector`` and, through
-#: ``hodge.kunneth_character_product``, ``hodge.BigradedCharacterTable``); they leave ``src/``
-#: with their classes once the benchmark retires those hooks
-TEST_ONLY_MEMBERS = {"hodge.CharacterVector.orbit", "hodge.BigradedCharacterTable.from_entries",
-                     "hodge.BigradedCharacterTable.one_point", "hodge.BigradedCharacterTable.vector",
-                     "hodge.BigradedCharacterTable.total_diamond"}
-
-
 def unreferenced_names(src: Path = SRC) -> list[str]:
     """``module.name`` of every top-level definition in ``src`` that no other statement uses,
     and ``module.Class.name`` of every such class member, in the order of the source."""
@@ -83,7 +75,7 @@ def unreferenced_names(src: Path = SRC) -> list[str]:
             for name in _defined(member):
                 if not any(name in refs for other, refs in units if other is not member):
                     unused.append(f"{module}.{node.name}.{name}")
-    return [name for name in unused if name not in TEST_ONLY_MEMBERS]
+    return unused
 
 
 def test_every_top_level_name_in_src_is_used():

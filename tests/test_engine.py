@@ -31,12 +31,13 @@ from bvhodge import (
 )
 from bvhodge import engine, hodge
 from bvhodge.closed_forms import euler_formula
-from bvhodge.cyclic import LocalAction, age
+from bvhodge.cyclic import age
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic, kunneth_character_product
 from generators import samples
 from oracles import (
+    LocalAction,
     curve_character_dims,
     eager_sector_components,
     invariant_diamond,

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from bvhodge import cli, cyclic
+from bvhodge import cli
 from bvhodge.closed_forms import HodgePair
 from bvhodge.engine import Check, crosscheck
 from bvhodge.fixed_locus import (
@@ -26,8 +26,8 @@ from bvhodge.fixed_locus import (
     Violation,
     from_invariants_order3,
 )
-from bvhodge.hodge import BigradedCharacterTable, CharacterVector, HodgeDiamond
-from oracles import GroupElement, eager_sector_components
+from bvhodge.hodge import CharacterVector, HodgeDiamond
+from oracles import GroupElement, LocalAction, eager_sector_components
 
 NAMED_FIXTURES = ("order2_two_curves", "order3_curve_and_point",
                   "order4_first_type", "order6_elliptic_top_curve")
@@ -55,8 +55,6 @@ def _samples():
         (cfg, ("n", "eigenspace", "records", "invariants"), _config("order2_two_curves")),
         (CharacterVector(3, (1, 0, 2)), ("n", "c"), CharacterVector(3, (2, 0, 1))),
         (HodgeDiamond(1, ((1, 0), (0, 1))), ("d", "table"), HodgeDiamond(1, ((1, 1), (1, 1)))),
-        (BigradedCharacterTable.one_point(3), ("n", "d", "grid"),
-         BigradedCharacterTable.one_point(2)),
         (HodgePair(3, 4), ("h11", "h21"), HodgePair(4, 3)),
         (components[0], ("kind", "source", "exponents", "age", "entries"), components[-1]),
         (Check("cy_relation", "pass", 1, 1), ("name", "status", "lhs", "rhs"),
@@ -64,7 +62,7 @@ def _samples():
         (report, ("diamond", "h11", "h21", "euler_diamond", "euler_pairsum", "closed",
                   "euler_closed", "checks"), crosscheck(_config("order2_two_curves"))),
         (GroupElement(3, 4), ("n", "j"), GroupElement(3, 2)),
-        (cyclic.LocalAction(3, (1, 5)), ("n", "exponents"), cyclic.LocalAction(3, (1, 1))),
+        (LocalAction(3, (1, 5)), ("n", "exponents"), LocalAction(3, (1, 1))),
     ]
 
 
@@ -110,7 +108,7 @@ def test_repr_spells_out_defaults_and_normalised_fields():
     assert repr(CurveOrbit(1)) == ("CurveOrbit(genus=1, orbit_size=1, residual_order=1, "
                                    "quotient_genus=1, char_dims=None, count=1)")
     assert repr(HodgeDiamond(0, [[1]])) == "HodgeDiamond(d=0, table=((1,),))"
-    assert repr(cyclic.LocalAction(4, [5, -1])) == "LocalAction(n=4, exponents=(1, 3))"
+    assert repr(LocalAction(4, [5, -1])) == "LocalAction(n=4, exponents=(1, 3))"
     assert repr(Violation("eigenspace_dims", "x")) == \
         "Violation(where='eigenspace_dims', message='x')"
     assert str(Violation("eigenspace_dims", "x")) == "error: eigenspace_dims: x"
@@ -141,7 +139,7 @@ def test_records_of_different_classes_never_compare_equal():
     assert EigenspaceDims(2, (1, 1)) != CharacterVector(2, (1, 1))
     assert CharacterVector(2, (1, 1)) != EigenspaceDims(2, (1, 1))
     assert not EigenspaceDims(2, (1, 1)) == CharacterVector(2, (1, 1))
-    assert GroupElement(2, 1) != cyclic.LocalAction(2, (1,))
+    assert GroupElement(2, 1) != LocalAction(2, (1,))
 
 
 def _round_trip_values():
