@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .engine import crosscheck
 from .fixed_locus import (
@@ -218,98 +217,11 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
     }
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null"}
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value, byte for byte.
-
-    The stdlib indents only in pure Python; strings, ints and ``None`` are written in place.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": "
-            + (write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner))
-            for k, v in sorted(value.items())) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join(
-            write(v) if (write := _SCALARS.get(type(v))) else _json_text(v, inner)
-            for v in value) + indent + "]"
-    return write(value) if (write := _SCALARS.get(type(value))) else json.dumps(value)
-
-
-_ROW = "[" + ",".join(["\n      {}"] * 4) + "\n    ]"
-_DIAMOND = "[" + ",".join(["\n    " + _ROW] * 4) + "\n  ]"
-
-
-def _diamond_text(diamond) -> str:
-    top, upper, lower, bottom = diamond
-    return _DIAMOND.format(*top, *upper, *lower, *bottom)
-
-
-#: per name and status of an engine check, its text with an int or null lhs and rhs as %s fields
-_CHECKS = {(name, status): f'{{\n      "lhs": %s,\n      "name": "{name}",\n      "rhs": %s,'
-                           f'\n      "status": "{status}"\n    }}'
-           for name in ("euler_pairsum", "cy_relation", "closed_form_h11", "closed_form_h21",
-                        "closed_form_euler") for status in ("pass", "fail", "skipped")}
-_INT_OR_NONE = frozenset((int, type(None)))  # an int formats itself with %s as json.dumps does
-
-
-def _checks_text(checks) -> str:
-    return "[\n    " + ",\n    ".join([
-        template % ("null" if lhs is None else lhs, "null" if rhs is None else rhs)
-        if (template := _CHECKS.get((c["name"], c["status"])))
-        and type(lhs := c["lhs"]) in _INT_OR_NONE and type(rhs := c["rhs"]) in _INT_OR_NONE
-        else _json_text(c, "\n    ") for c in checks]) + "\n  ]" if checks else "[]"
-
-
-_TRIPLE = '{{\n    "euler": {euler},\n    "h11": {h11},\n    "h21": {h21}\n  }}'
-_TRIPLE_KEYS = frozenset(("euler", "h11", "h21"))
-_CONFIG_KEYS = frozenset(("invariants", "order"))
-#: per order, the config of a named document with its invariants as format fields
-_CONFIG_TEMPLATES = {n: '{{\n    "invariants": {{' + ",".join(
-    f"\n      {encode_basestring_ascii(k)}: {{{k}}}" for k in sorted(keys))
-    + f"\n    }}}},\n    \"order\": {n}\n  }}}}" for n, keys in _INVARIANT_KEYS.items()}
-
-
-def _triple_text(value) -> str:
-    """``engine`` or ``closed_form``: three ints from a template, any other shape as is."""
-    if (type(value) is dict and value.keys() == _TRIPLE_KEYS
-            and {*map(type, value.values())} == {int}):
-        return _TRIPLE.format_map(value)
-    return _json_text(value, "\n  ")
-
-
-def _config_text(config) -> str:
-    """A named document's config from the template of its order; any other shape as is."""
-    if type(config) is dict and config.keys() == _CONFIG_KEYS:
-        n, inv = config["order"], config["invariants"]
-        if type(n) is int and type(inv) is dict and inv.keys() == _INVARIANT_FIELDS.get(n):
-            if {*map(type, inv.values())} != {int}:  # ints format themselves as json.dumps does
-                inv = {k: write(v) if (write := _SCALARS.get(type(v)))
-                       else _json_text(v, "\n      ") for k, v in inv.items()}
-            return _CONFIG_TEMPLATES[n].format_map(inv)
-    return _json_text(config, "\n  ")
-
-
-#: the writers of the report's fixed-shape values, unless they are None: a 4x4 table of
-#: ints and a list of checks with int-or-None lhs and rhs; the triples, the config and the
-#: violations take the general writer when their shape is not the one run() gives them
-_REPORT_WRITERS = {"diamond": _diamond_text, "checks": _checks_text, "engine": _triple_text,
-                   "closed_form": _triple_text, "config": _config_text,
-                   "violations": lambda v: "[]" if v == [] else _json_text(v, "\n  ")}
-
-
 def emit(report: dict, fmt: str = "text") -> str:
-    """Render a report shaped as :func:`run` makes it; 'text' draws the diamond, and
-    'json' equals ``json.dumps(report, indent=2, sort_keys=True)`` byte for byte."""
+    """Render a report shaped as :func:`run` makes it: 'text' draws the diamond, and
+    'json' writes ``json.dumps(report, sort_keys=True)`` on one line."""
     if fmt == "json":
-        return "{\n  " + ",\n  ".join(
-            encode_basestring_ascii(k) + ": "
-            + (write(v) if (write := _SCALARS.get(type(v)) or _REPORT_WRITERS.get(k))
-               else _json_text(v, "\n  "))
-            for k, v in sorted(report.items())) + "\n}\n"
+        return json.dumps(report, sort_keys=True) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -404,9 +316,9 @@ def main(argv=None) -> int:
     if args.list_fixtures:
         return _write_stdout("".join(f"{name}\n" for name in fixture_names()), EXIT_OK)
     try:
-        if args.fixture:
+        if args.fixture is not None:
             text = load_fixture_text(args.fixture)
-        elif args.input:
+        elif args.input is not None:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
         else:
@@ -415,7 +327,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnicodeDecodeError:
-        source = args.fixture or args.input or "<stdin>"
+        source = (args.fixture if args.fixture is not None
+                  else args.input if args.input is not None else "<stdin>")
         print(f"error: {source}: not valid UTF-8", file=sys.stderr)
         return EXIT_PARSE
 
