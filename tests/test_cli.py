@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bvhodge import InvariantError, cli
+from bvhodge import InvariantError, K3Config, cli, crosscheck
 from generators import samples
 
 WORKED_DOC = {
@@ -239,9 +241,29 @@ def test_integer_bound_is_a_thousand_digits():
                 cli.parse_config(doc)
 
 
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
 def _assert_one_line_of(rendered, report):
     assert rendered.endswith("\n") and "\n" not in rendered[:-1] and rendered.isascii()
-    assert json.loads(rendered) == report
+    assert json.loads(rendered, object_pairs_hook=_sorted_object) == report
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(), st.integers(-10 ** 999, 10 ** 999),
+              st.text()),
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_json_writer_matches_the_standard_library(value):
+    _assert_one_line_of(cli.emit(value, "json"), value)
 
 
 @pytest.mark.parametrize("checks", [True, False])
@@ -261,7 +283,31 @@ def test_emit_writes_every_fixture_report_as_the_standard_library(monkeypatch, c
         _assert_one_line_of(emit(report, "json"), report)
 
 
+CY_TABLE = [[1, 0, 0, 1], [0, 51, 9, 0], [0, 9, 51, 0], [1, 0, 0, 1]]
+HAND_BUILT = {
+    "order": 4, "config": {"order": 4, "raw": {"eigenspace_dims": [], "\u03a3 \"x\"": [{}]}},
+    "violations": [], "diamond": CY_TABLE, "engine": {"h11": 51, "h21": 9, "euler": 84},
+    "closed_form": None, "exit_code": 3,
+    "checks": [{"name": "euler_pairsum", "status": "pass", "lhs": 84, "rhs": 84},
+               {"name": "cy_relation", "status": "fail", "lhs": 9, "rhs": None},
+               {"name": "closed_form_h11", "status": "skipped", "lhs": None, "rhs": None},
+               {"name": "\u03a3 \"odd\"", "status": "fail", "lhs": None, "rhs": -3}],
+}
 LONG = 10 ** 999 + 7  # a thousand digits
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"checks": []},
+    {"checks": None, "closed_form": None},
+    {"diamond": None, "engine": None, "checks": None, "violations": ["error: x: y"],
+     "exit_code": 2},
+    {"diamond": [[LONG] * 4] * 4, "engine": {"h11": LONG, "h21": -LONG, "euler": 0},
+     "checks": [{"name": "cy_relation", "status": "fail", "lhs": -LONG, "rhs": LONG}]},
+], ids=["checks", "no-checks", "checks-off", "invalid", "long"])
+def test_emit_writes_hand_built_reports_as_the_standard_library(changes):
+    report = dict(HAND_BUILT, **changes)
+    _assert_one_line_of(cli.emit(report, "json"), report)
 
 
 def _named_documents():
@@ -296,6 +342,79 @@ def test_emit_writes_named_reports_as_the_standard_library(monkeypatch, checks):
         True, False}
     for report in reports:
         _assert_one_line_of(emit(report, "json"), report)
+
+
+NAMED_CONFIG = {"order": 4, "invariants": WORKED_DOC["invariants"]}
+TRIPLE = {"h11": 51, "h21": 9, "euler": 84}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("engine", "closed_form") for value in (
+        {"h11": 51, "h21": 9}, dict(TRIPLE, x=1), [51, 9, 84], None, dict(TRIPLE, h11=True),
+        dict(TRIPLE, h21=9.0), dict(TRIPLE, euler="84"), dict(TRIPLE, euler=None), {})
+] + [("config", value) for value in (
+    {"order": 4}, dict(NAMED_CONFIG, raw={}), [4, WORKED_DOC["invariants"]], None,
+    dict(NAMED_CONFIG, order=4.0), dict(NAMED_CONFIG, order=True),
+    dict(NAMED_CONFIG, order=3), dict(NAMED_CONFIG, order=5),
+    dict(NAMED_CONFIG, invariants=list(WORKED_DOC["invariants"])),
+    dict(NAMED_CONFIG, invariants={k: v for k, v in WORKED_DOC["invariants"].items()
+                                   if k != "a"}),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], extra=1)),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], a=True, b=1.5, k=None)),
+    dict(NAMED_CONFIG, invariants=dict(WORKED_DOC["invariants"], a={"x": [1, {}]}, b=[])),
+    {"order": 2, "invariants": {"r": 1, "curve_genera": [[], {}, "\u03a3"]}},
+)] + [("violations", value) for value in ([], (), ["x"], None, [[]], {})])
+def test_emit_writes_off_shape_values_as_the_standard_library(key, value):
+    # values run() never makes: the writer takes any JSON value; a tuple reads back as a list
+    report = dict(HAND_BUILT, **{"config": NAMED_CONFIG, key: value})
+    expected = dict(report, **{key: list(value) if isinstance(value, tuple) else value})
+    _assert_one_line_of(cli.emit(report, "json"), expected)
+
+
+def _named_configs(order):
+    keys = cli._INVARIANT_KEYS[order]
+    return st.builds(lambda inv, drop, extra: {"order": order, "invariants": {
+        k: v for k, v in {**inv, **extra}.items() if k != drop}},
+        st.fixed_dictionaries({k: json_values for k in keys}),
+        st.sampled_from((None,) + keys), st.dictionaries(st.text(), json_values, max_size=2))
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3, 4, 6)).flatmap(_named_configs))
+def test_emit_writes_any_named_config_as_the_standard_library(config):
+    report = dict(HAND_BUILT, config=config)
+    _assert_one_line_of(cli.emit(report, "json"), report)
+
+
+ENGINE_CHECKS = ("euler_pairsum", "cy_relation", "closed_form_h11", "closed_form_h21",
+                 "closed_form_euler")
+CHECK_VALUES = (None, 0, 84, -3, LONG, -LONG, True, False, 1.5, -0.0, "84", "\u03a3 %s", [], {})
+
+
+@pytest.mark.parametrize("status", ("pass", "fail", "skipped", "PASS", "\u00e9chec %d"))
+@pytest.mark.parametrize("name", ENGINE_CHECKS + ("\u03a3 \"odd\" %s", "cy_relation "))
+def test_emit_writes_every_check_as_the_standard_library(name, status):
+    checks = [{"name": name, "status": status, "lhs": lhs, "rhs": rhs}
+              for lhs in CHECK_VALUES for rhs in CHECK_VALUES]
+    report = dict(HAND_BUILT, checks=checks)
+    _assert_one_line_of(cli.emit(report, "json"), report)
+
+
+def test_json_reports_carry_every_check_the_engine_reports():
+    engine, written = set(), set()
+    for name in cli.fixture_names():
+        try:
+            doc = json.loads(cli.load_fixture_text(name))
+            cfg = cli.parse_config(doc)
+        except (ValueError, InvariantError):  # malformed JSON, schema or invariant errors
+            continue
+        for run in (cfg, K3Config(cfg.n, cfg.eigenspace, cfg.records)):  # and without names
+            engine |= {(c.name, c.status) for c in crosscheck(run).checks}
+            report = json.loads(cli.emit(cli.run(run, doc), "json"))
+            written |= {(c["name"], c["status"]) for c in report["checks"]}
+    assert written == engine
+    assert {status for _, status in engine} == {"pass", "fail", "skipped"}
+    assert {name for name, _ in engine} == set(ENGINE_CHECKS)
 
 
 # --- main() ---------------------------------------------------------------------
