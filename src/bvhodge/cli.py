@@ -1,7 +1,7 @@
 """Command-line driver: JSON configuration in, verified Hodge data out.
 
-Exit codes: 0 success (all enabled checks pass), 1 parse error (a usage
-error or a closed stdout included), 2 validation failure, 3 cross-check
+Exit codes: 0 success (all checks pass), 1 parse error (a usage error or
+an unwritable stdout included), 2 validation failure, 3 cross-check
 mismatch.
 """
 
@@ -193,12 +193,11 @@ def parse_config(doc: dict) -> K3Config:
     return _CONSTRUCTORS[order](**kwargs)
 
 
-def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
+def run(cfg: K3Config, doc: dict) -> dict:
     """The report of one run: the dict :func:`emit` renders and ``--format json`` writes.
 
-    ``cfg`` is trusted to be valid, as :func:`parse_config` returns it.
-    Without ``checks`` the report leaves out the checks and the closed
-    forms, and its exit code is 0.
+    ``cfg`` is trusted to be valid, as :func:`parse_config` returns it.  Every
+    check runs, and the closed form is null only for a raw document.
     """
     report = crosscheck(cfg)
     closed = report.closed
@@ -208,12 +207,11 @@ def run(cfg: K3Config, doc: dict, checks: bool = True) -> dict:
         "violations": [],
         "diamond": [list(row) for row in report.diamond.table],
         "engine": {"h11": report.h11, "h21": report.h21, "euler": report.euler_pairsum},
-        "closed_form": (None if closed is None or not checks else
+        "closed_form": (None if closed is None else
                         {"h11": closed.h11, "h21": closed.h21, "euler": report.euler_closed}),
-        "checks": (None if not checks else
-                   [{"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
-                    for c in report.checks]),
-        "exit_code": EXIT_CHECK if checks and not report.passed else EXIT_OK,
+        "checks": [{"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
+                   for c in report.checks],
+        "exit_code": EXIT_OK if report.passed else EXIT_CHECK,
     }
 
 
@@ -262,13 +260,13 @@ def fixture_names() -> list[str]:
 
 
 def load_fixture_text(name: str) -> str:
-    path = _fixture_root().joinpath(f"{name}.json")
-    if not path.is_file():
+    """The text of the bundled fixture ``name``; any other name, a path included, raises."""
+    if name not in fixture_names():
         raise SchemaError(f"unknown fixture {name!r}; try --list-fixtures")
-    return path.read_text(encoding="utf-8")
+    return _fixture_root().joinpath(f"{name}.json").read_text(encoding="utf-8")
 
 
-def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, int]:
+def run_text(text: str, fmt: str = "text") -> tuple[str, int]:
     """Full pipeline from document text to (rendered report, exit code).
 
     Invalid JSON raises :class:`json.JSONDecodeError` and a malformed
@@ -291,7 +289,7 @@ def run_text(text: str, fmt: str = "text", checks: bool = True) -> tuple[str, in
                   "diamond": None, "engine": None, "closed_form": None, "checks": None,
                   "exit_code": EXIT_INVALID}
     else:
-        report = run(cfg, doc, checks=checks)
+        report = run(cfg, doc)
     return emit(report, fmt), report["exit_code"]
 
 
@@ -307,7 +305,6 @@ def main(argv=None) -> int:
     source.add_argument("--fixture", metavar="NAME", help="run a bundled fixture instead")
     source.add_argument("--list-fixtures", action="store_true", help="list bundled fixtures")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--no-checks", action="store_true", help="skip the cross-checks")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse, its message printed, exits 2 on a usage error
@@ -333,7 +330,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        rendered, code = run_text(text, fmt=args.format, checks=not args.no_checks)
+        rendered, code = run_text(text, fmt=args.format)
     except json.JSONDecodeError as exc:
         print(f"parse error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -344,11 +341,17 @@ def main(argv=None) -> int:
 
 
 def _write_stdout(text: str, code: int) -> int:
-    """Write and flush ``text``; exit 1 instead of ``code`` if stdout's reader has gone."""
+    """Write and flush ``text``; exit 1 instead of ``code`` if stdout cannot take it,
+    silently if its reader has gone and with one error line otherwise."""
+    if sys.stdout is None:  # the process started with stdout closed
+        print("error: cannot write the output: stdout is closed", file=sys.stderr)
+        return EXIT_PARSE
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
         # the interpreter flushes stdout again at exit; into devnull that flush is silent
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

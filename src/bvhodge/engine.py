@@ -21,9 +21,9 @@ cohomology through the residual data stored in the configuration.  The
 invariants of a component class are its character counts paired with
 per-order weights w, read once at import from the orbit sizes of
 :data:`bvhodge.fixed_locus.ELLIPTIC_ORBITS`; its age shifts them
-diagonally.  A curve of genus g in the default split has g_quot*w[0] +
-(g - g_quot)/(rho - 1)*W invariant forms, W the import-time sum of w over
-the nonzero characters of its residual order rho.  A curve has local
+diagonally.  A curve of genus g has g_quot*w[0] + (g - g_quot)*w[n/rho]
+invariant forms: its other characters are +-n/rho, where w agrees, as
+permutation characters are real (rho <= 3).  A curve has local
 exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
 (u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
 A sector keeps only the sum of its classes; the tests build them one by one.
@@ -33,14 +33,13 @@ raw-document parser validate each one as they build it.  A configuration
 built by hand is checked with :func:`bvhodge.fixed_locus.validate` first,
 which is also where the character split of each curve is checked.
 Past that, the engine only adds, multiplies and compares the numbers of
-the data, dividing only in the pair sum, checked exact, and in a default
-split, which validation checked; it converts none of them and uses no floats.
+the data, dividing only in the pair sum, checked exact; it converts none of
+them and uses no floats.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 from typing import Optional
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
@@ -122,8 +121,8 @@ def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
 
 
 _SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
-#: (w, W, q) per (d, s, rho): W sums w over the nonzero multiples of n/rho, q = rho - 1 or 1
-_SPLIT_WEIGHTS = {n: {(d, s, rho): (w, sum(w[n // rho::n // rho]), max(rho - 1, 1))
+#: (w[0], w[n/rho]) per (d, s, rho): the weights of a curve's invariant and other forms
+_SPLIT_WEIGHTS = {n: {(d, s, rho): (w[0], w[n // rho % n])
                       for (d, s), w in _SECTOR_WEIGHTS[n].items() for rho in (1, 2, 3)
                       if n % rho == 0} for n in SUPPORTED_ORDERS}
 _PAIR_CLASSES = {n: _pair_classes(n) for n in SUPPORTED_ORDERS}
@@ -179,13 +178,9 @@ def sector_contribution(cfg: K3Config, j: int) -> Table:
     # h0 of the curves, at index 0, goes to h11 and h22, that of the points at index age
     h0, h21 = [0, 0, 0], 0
     for curve in record.curves:
-        w, rest, q = split[d, curve.orbit_size, curve.residual_order]
-        if curve.char_dims is None:  # the default split, through its summed weights
-            forms = curve.quotient_genus * w[0] + (curve.genus - curve.quotient_genus) // q * rest
-        else:
-            forms = sum(map(mul, curve.char_dims, w))
-        h0[0] += curve.count * w[0]
-        h21 += curve.count * forms
+        w0, w1 = split[d, curve.orbit_size, curve.residual_order]  # w[0] and w[n/rho]
+        h0[0] += curve.count * w0
+        h21 += curve.count * (curve.quotient_genus * w0 + (curve.genus - curve.quotient_genus) * w1)
     for point in record.points:
         h0[_point_age(point, n, r)] += point.count * weights[d, point.orbit_size][0]
     return ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))

@@ -4,16 +4,15 @@
 
 The script loads ``bench/workloads.py`` by path, without changing it, and
 builds seed 1 of each of its workloads.  It renders every document through
-``bvhodge.cli.run_text`` in text and in JSON, with the checks on and then
-off, and writes one line per document:
+``bvhodge.cli.run_text`` in text and in JSON, and writes one line per
+document:
 
-    workload index kind exit_code text_digest json_digest text_nochecks json_nochecks
+    workload index kind exit_code text_digest json_digest
 
 A digest is the first 12 hex digits of the SHA-256 of the rendered output.
 A document refused with ``JSONDecodeError`` or ``SchemaError`` exits 1, and
 its digests are taken of the exception's class and message.  The JSON
-output holds its own exit code, so the line pins both.  Without the checks a
-report writes ``null`` for its closed forms and checks, and exits 0 or 2.
+output holds its own exit code, so the line pins both.
 
 ``test_bench_digests.py`` recomputes the lines and compares them with the
 committed file.  A change that moves output on purpose regenerates the file
@@ -39,9 +38,9 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _render(text: str, fmt: str, checks: bool = True) -> tuple[str, int]:
+def _render(text: str, fmt: str) -> tuple[str, int]:
     try:
-        return cli.run_text(text, fmt=fmt, checks=checks)
+        return cli.run_text(text, fmt=fmt)
     except (json.JSONDecodeError, cli.SchemaError) as exc:
         return f"{type(exc).__name__}: {exc}", cli.EXIT_PARSE
 
@@ -54,10 +53,8 @@ def digest_lines() -> list[str]:
     for name, build in workloads["WORKLOADS"].items():
         for i, doc in enumerate(build(SEED, tuples)):
             text, code = _render(doc.text, "text")
-            outputs = [text] + [_render(doc.text, fmt, checks)[0] for fmt, checks in
-                                (("json", True), ("text", False), ("json", False))]
-            lines.append(f"{name} {i} {doc.kind} {code} "
-                         + " ".join(_digest(out) for out in outputs))
+            json_text = _render(doc.text, "json")[0]
+            lines.append(f"{name} {i} {doc.kind} {code} {_digest(text)} {_digest(json_text)}")
     return lines
 
 

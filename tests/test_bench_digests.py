@@ -10,7 +10,7 @@ from collections import Counter
 
 from bench_digests import DIGESTS, digest_lines
 
-COLUMNS = ("text", "json", "text_nochecks", "json_nochecks")
+COLUMNS = ("text", "json")
 
 
 def _summary(moved) -> str:

@@ -139,15 +139,6 @@ def test_raw_config_reports_closed_form_not_applicable():
     assert "h^{1,1} = 11" in text
 
 
-def test_no_checks_skips_crosschecks():
-    doc = {"order": 3, "invariants": {"r": 4, "m": 9, "k": 2, "n_points": 3, "g_C": 2}}
-    rendered, code = cli.run_text(json.dumps(doc), fmt="json", checks=False)
-    assert code == 0
-    payload = json.loads(rendered)
-    assert payload["checks"] is None
-    assert payload["engine"] == {"h11": 26, "h21": 20, "euler": 24}
-
-
 def test_validation_failure_reports_violations():
     doc = {"order": 2, "invariants": {"r": 0, "curve_genera": []}}
     rendered, code = cli.run_text(json.dumps(doc), fmt="json")
@@ -266,19 +257,18 @@ def test_json_writer_matches_the_standard_library(value):
     _assert_one_line_of(cli.emit(value, "json"), value)
 
 
-@pytest.mark.parametrize("checks", [True, False])
-def test_emit_writes_every_fixture_report_as_the_standard_library(monkeypatch, checks):
+def test_emit_writes_every_fixture_report_as_the_standard_library(monkeypatch):
     reports = []
     emit = cli.emit
     monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report)
                         or emit(report, fmt))
     for name in cli.fixture_names():
         try:
-            cli.run_text(cli.load_fixture_text(name), fmt="json", checks=checks)
+            cli.run_text(cli.load_fixture_text(name), fmt="json")
         except json.JSONDecodeError:
             assert name == "malformed"
     assert len(reports) == len(cli.fixture_names()) - 1
-    assert {r["exit_code"] for r in reports} == ({0, 2, 3} if checks else {0, 2})
+    assert {r["exit_code"] for r in reports} == {0, 2, 3}
     for report in reports:
         _assert_one_line_of(emit(report, "json"), report)
 
@@ -327,14 +317,13 @@ def _named_documents():
     return docs
 
 
-@pytest.mark.parametrize("checks", [True, False])
-def test_emit_writes_named_reports_as_the_standard_library(monkeypatch, checks):
+def test_emit_writes_named_reports_as_the_standard_library(monkeypatch):
     reports = []
     emit = cli.emit
     monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report)
                         or emit(report, fmt))
     for doc in _named_documents():
-        cli.run_text(json.dumps(doc), fmt="json", checks=checks)
+        cli.run_text(json.dumps(doc), fmt="json")
     assert {r["order"] for r in reports} == {2, 3, 4, 6}
     assert {r["exit_code"] for r in reports} == {0, 2}
     assert {r["config"]["invariants"].get("D_type") for r in reports} == {None, "first", "second"}
@@ -453,6 +442,12 @@ def test_main_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "--fixture", "nonsense")
     assert code == cli.EXIT_PARSE
     assert "unknown fixture" in err
+    # a path to a bundled fixture is not its name: only the listed names are read
+    code, out, err = run_cli(capsys, "--fixture", "../fixtures/order2_two_curves")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == ("error: unknown fixture '../fixtures/order2_two_curves'; "
+                   "try --list-fixtures\n")
 
 
 @pytest.mark.parametrize("option, message", [
@@ -471,24 +466,28 @@ def test_main_empty_source_is_not_stdin(capsys, monkeypatch, option, message):
     assert stdin.tell() == 0
 
 
-def test_main_no_checks_turns_inconsistent_fixture_green(capsys):
-    code, _, _ = run_cli(capsys, "--fixture", "order3_inconsistent")
+def test_main_inconsistent_fixture_fails_its_euler_checks(capsys):
+    code, out, _ = run_cli(capsys, "--fixture", "order3_inconsistent", "--format", "json")
     assert code == cli.EXIT_CHECK
-    code, _, _ = run_cli(capsys, "--fixture", "order3_inconsistent", "--no-checks")
-    assert code == 0
+    payload = json.loads(out)
+    assert payload["exit_code"] == cli.EXIT_CHECK
+    assert payload["engine"] == {"h11": 26, "h21": 20, "euler": 24}
+    failing = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
+    assert failing == {"euler_pairsum", "cy_relation"}
 
 
 @pytest.mark.parametrize("args, message", [
     (("--format", "xml"), "argument --format: invalid choice: 'xml'"),
     (("--bogus",), "unrecognized arguments: --bogus"),
+    (("--no-checks",), "unrecognized arguments: --no-checks"),
     (("--fixture", "order4_first_type", "--input", "config.json"),
      "argument --input: not allowed with argument --fixture"),
     (("--list-fixtures", "--fixture", "nonsense", "--format", "json"),
      "argument --fixture: not allowed with argument --list-fixtures"),
     (("--input", "config.json", "--list-fixtures"),
      "argument --list-fixtures: not allowed with argument --input"),
-], ids=["bad-format", "unknown-option", "fixture-and-input", "list-and-fixture",
-        "input-and-list"])
+], ids=["bad-format", "unknown-option", "no-checks", "fixture-and-input",
+        "list-and-fixture", "input-and-list"])
 def test_main_usage_errors_are_parse_errors(capsys, args, message):
     # exit 2 is kept for a validation failure; argparse's own message stays on stderr
     code, out, err = run_cli(capsys, *args)
@@ -515,10 +514,10 @@ def test_main_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     assert err == f"error: {path}: not valid UTF-8\n"
 
 
-def _cli_process(*args, stdin=b"", stdout=subprocess.PIPE, **env):
+def _cli_process(*args, stdin=b"", stdout=subprocess.PIPE, preexec_fn=None, **env):
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "bvhodge.cli", *args], input=stdin,
-                          stdout=stdout, stderr=subprocess.PIPE,
+                          stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn,
                           env={**os.environ, "PYTHONPATH": str(src), **env})
 
 
@@ -547,17 +546,31 @@ def test_cli_process_lists_and_runs_fixtures():
         cli.load_fixture_text("order4_first_type"), fmt="json")[0]
 
 
-@pytest.mark.parametrize("args", [
-    ("--list-fixtures",),
-    ("--fixture", "order6_elliptic_top_curve", "--format", "json"),
-], ids=["list-fixtures", "fixture-json"])
-def test_cli_process_exits_1_without_a_traceback_when_stdout_is_gone(args):
-    # the read end of stdout's pipe is closed before the run, so the first flush fails
+CANNOT_WRITE = b"error: cannot write the output: "
+
+
+@pytest.mark.parametrize("args, stdout, stderr", [
+    (("--list-fixtures",), "pipe", b""),
+    (("--fixture", "order6_elliptic_top_curve", "--format", "json"), "pipe", b""),
+    pytest.param(("--fixture", "order2_two_curves"), "full",
+                 CANNOT_WRITE + b"[Errno 28] No space left on device\n", id="full-device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+    (("--fixture", "order2_two_curves"), "closed", CANNOT_WRITE + b"stdout is closed\n"),
+], ids=["list-fixtures", "fixture-json", "full-device", "closed-stdout"])
+def test_cli_process_exits_1_without_a_traceback_when_stdout_is_gone(args, stdout, stderr):
+    # a pipe whose read end is closed before the run, a device that takes no
+    # byte, or no stdout at all: a broken pipe is silent, the others say why
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = _cli_process(*args, stdout=write_end)
+        if stdout == "full":
+            with open("/dev/full", "wb") as full:
+                done = _cli_process(*args, stdout=full)
+        else:
+            done = _cli_process(*args, stdout=write_end,
+                                preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
     finally:
         os.close(write_end)
     assert done.returncode == cli.EXIT_PARSE
-    assert done.stderr == b""  # no traceback, and no "Exception ignored" from the exit flush
+    assert done.stderr == stderr  # no traceback, and no "Exception ignored" at exit

@@ -5,11 +5,13 @@ that the constructor (or the parser) refuses what a formula would not.
 """
 
 import json
+from math import gcd
 
 import pytest
 
 from bvhodge import cli
 from bvhodge.closed_forms import (
+    EULER_WEIGHTS,
     HodgePair,
     euler_formula,
     hodge_order2,
@@ -18,6 +20,7 @@ from bvhodge.closed_forms import (
     hodge_order6,
 )
 from bvhodge.fixed_locus import (
+    ELLIPTIC_ORBITS,
     InvariantError,
     from_invariants_order2,
     from_invariants_order3,
@@ -171,6 +174,20 @@ def test_euler_formula_order6_coefficients():
     assert euler_formula(6, (1, 0, 0)) == 4
     assert euler_formula(6, (0, 1, 0)) == 4
     assert euler_formula(6, (0, 0, 1)) == 2
+
+
+def test_euler_weights_are_the_pair_sum_over_every_pair():
+    # e = (1/n) * sum over all pairs (j, k) in (Z/n)^2 of e(Fix g^c on S) times the
+    # fixed points of g^c on E, c = gcd(j, k, n); e(E) = 0 drops the identity class
+    for n, weights in EULER_WEIGHTS.items():
+        totals = {}
+        for j in range(n):
+            for k in range(n):
+                c = gcd(j, k, n)
+                if c != n:  # g^c generates the subgroup of order n/c
+                    totals[c] = totals.get(c, 0) + sum(ELLIPTIC_ORBITS[n][n // c])
+        assert all(total % n == 0 for total in totals.values())
+        assert tuple(totals[c] // n for c in sorted(totals)) == weights, n
 
 
 def test_euler_formula_rejects_bad_order_or_arity():

@@ -386,11 +386,28 @@ def _valid_quotient_genera(genus, rho):
     return [gq for gq in range(genus + 1) if (genus - gq) % (rho - 1) == 0]
 
 
-def _split_kernel(n, key, genus, quotient_genus, count=3):
+def _explicit_splits(n, rho, genus, quotient_genus):
+    """Every char_dims validate accepts: g_quot at character 0, the rest on +-n/rho."""
+    rest = genus - quotient_genus
+    if rho == 1:
+        return [(genus,) + (0,) * (n - 1)] if rest == 0 else []
+    splits = []
+    for a in range(rest + 1) if rho == 3 else (0,):
+        dims = [0] * n
+        dims[0] = quotient_genus
+        dims[n // rho] += rest - a
+        dims[-(n // rho) % n] += a
+        splits.append(tuple(dims))
+    return splits
+
+
+def _split_kernel(n, key, genus, quotient_genus, count=3, char_dims=None):
     """(h0, forms) of one curve orbit through the sector, and through the character split."""
     d, size, rho = key
-    curve = CurveOrbit(genus, size, rho, quotient_genus, count=count)
+    curve = CurveOrbit(genus, size, rho, quotient_genus, char_dims, count)
     cfg = K3Config(n, EigenspaceDims(n, VALID_DIMS[n]), (SubgroupFixedRecord(d, (curve,)),))
+    if char_dims is not None:
+        assert not [v for v in validate(cfg) if "char_dims" in v.message], char_dims
     table = sector_contribution(cfg, n // d)
     assert table[1][1] == table[2][2] and table[2][1] == table[1][2]
     w = engine._SECTOR_WEIGHTS[n][d, size]
@@ -399,17 +416,28 @@ def _split_kernel(n, key, genus, quotient_genus, count=3):
 
 
 def test_split_weights_match_the_character_pairing():
+    # the one curve formula rests on w[j] == w[-j]: a curve's non-invariant
+    # forms weigh the same on each nonzero multiple of n/rho
+    for n in (2, 3, 4, 6):
+        for w in engine._SECTOR_WEIGHTS[n].values():
+            assert all(w[j] == w[-j % n] for j in range(n)), (n, w)
     keys = [(n, key) for n in (2, 3, 4, 6) for key in engine._SPLIT_WEIGHTS[n]]
     assert {(n, rho) for n, (_, _, rho) in keys} == {
         (2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 2), (6, 1), (6, 2), (6, 3)}
-    checked = 0
+    checked = explicit = 0
     for n, key in keys:
         for genus in range(13):
             for gq in _valid_quotient_genera(genus, key[2]):
                 kernel, pairing = _split_kernel(n, key, genus, gq)
                 assert kernel == pairing, (n, key, genus, gq)
                 checked += 1
-    assert checked > 2000
+            # explicit splits, odd rho=3 rests included, take the same formula
+            for gq in range(genus + 1):
+                for dims in _explicit_splits(n, key[2], genus, gq):
+                    kernel, pairing = _split_kernel(n, key, genus, gq, char_dims=dims)
+                    assert kernel == pairing, (n, key, genus, gq, dims)
+                    explicit += 1
+    assert checked > 2000 and explicit > 2000
 
 
 @st.composite

@@ -4,8 +4,7 @@
 ``SchemaError``, which the command line turns into exit 1.  An exit 2 lists
 at least one violation and an exit 3 has at least one failed check, and the
 JSON report is exactly what ``json.dumps(..., sort_keys=True)`` writes for
-it, on one line.  The text report ends in the same exit code, and without the
-checks the report only loses its checks and closed forms.
+it, on one line.  The text report ends in the same exit code.
 
 The documents start from consistent configurations, named or raw, and from
 arbitrary named and raw documents of the right shape.  At most one field of
@@ -169,7 +168,7 @@ def nested_texts(draw):
 
 
 def _assert_exit_code(text):
-    """Run ``text`` in both formats, with and without checks; return the exit code."""
+    """Run ``text`` in both formats; return the exit code."""
     try:
         rendered, code = cli.run_text(text, fmt="json")
     except (json.JSONDecodeError, cli.SchemaError):
@@ -186,16 +185,6 @@ def _assert_exit_code(text):
     text_report, text_code = cli.run_text(text, fmt="text")
     assert text_code == code
     assert text_report.startswith(f"order {payload['order']} quotient of K3 x E\n")
-    unchecked, unchecked_code = cli.run_text(text, fmt="json", checks=False)
-    if code == cli.EXIT_INVALID:
-        assert (unchecked, unchecked_code) == (rendered, code)
-    else:
-        assert unchecked_code == cli.EXIT_OK
-        assert json.loads(unchecked) == dict(payload, checks=None, closed_form=None,
-                                             exit_code=cli.EXIT_OK)
-    unchecked_text, unchecked_text_code = cli.run_text(text, fmt="text", checks=False)
-    assert unchecked_text_code == unchecked_code
-    assert "checks:" not in unchecked_text
     return code
 
 
