@@ -84,7 +84,7 @@ _INT_BOUND = 10 ** 1000
 
 def _as_int(value, path, key="") -> int:
     """``value`` as an integer field; an error names the field ``(path, key)``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise SchemaError(f"{_at(path, key)}: expected an integer, got {value!r}")
     if not -_INT_BOUND < value < _INT_BOUND:
         raise SchemaError(f"{_at(path, key)}: integer field too long")
@@ -180,7 +180,7 @@ def parse_config(doc: dict) -> K3Config:
     inv = _as_object(doc["invariants"], _INVARIANT_FIELDS[order], "invariants")
     kwargs = {}
     for key in _INVARIANT_KEYS[order]:
-        value = _need(inv, key, "invariants")
+        value = inv[key] if key in inv else _need(inv, key, "invariants")
         if key == "curve_genera":
             kwargs[key] = [_as_int(v, "invariants.curve_genera", i)
                            for i, v in enumerate(_as_list(value, "invariants.curve_genera"))]
@@ -205,7 +205,7 @@ def run(cfg: K3Config, doc: dict) -> dict:
         "order": cfg.n,
         "config": doc,
         "violations": [],
-        "diamond": [list(row) for row in report.diamond.table],
+        "diamond": list(map(list, report.diamond.table)),
         "engine": {"h11": report.h11, "h21": report.h21, "euler": report.euler_pairsum},
         "closed_form": (None if closed is None else
                         {"h11": closed.h11, "h21": closed.h21, "euler": report.euler_closed}),
@@ -215,11 +215,15 @@ def run(cfg: K3Config, doc: dict) -> dict:
     }
 
 
+#: what ``json.dumps(report, sort_keys=True)`` builds afresh on every call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def emit(report: dict, fmt: str = "text") -> str:
     """Render a report shaped as :func:`run` makes it: 'text' draws the diamond, and
     'json' writes ``json.dumps(report, sort_keys=True)`` on one line."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True) + "\n"
+        return _JSON.encode(report) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -295,6 +299,8 @@ def run_text(text: str, fmt: str = "text") -> tuple[str, int]:
 
 def main(argv=None) -> int:
     import argparse  # not on the path of run_text
+    from contextlib import redirect_stdout
+    from io import StringIO
     parser = argparse.ArgumentParser(
         prog="bvhodge",
         description="Hodge diamonds of crepant resolutions of (K3 x E)/C_n quotients, "
@@ -305,10 +311,12 @@ def main(argv=None) -> int:
     source.add_argument("--fixture", metavar="NAME", help="run a bundled fixture instead")
     source.add_argument("--list-fixtures", action="store_true", help="list bundled fixtures")
     parser.add_argument("--format", choices=("text", "json"), default="text")
+    help_text = StringIO()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(help_text):  # --help is written below, like any output
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse, its message printed, exits 2 on a usage error
-        return EXIT_PARSE if exc.code else EXIT_OK  # and 0 after --help
+        return EXIT_PARSE if exc.code else _write_stdout(help_text.getvalue(), EXIT_OK)
 
     if args.list_fixtures:
         return _write_stdout("".join(f"{name}\n" for name in fixture_names()), EXIT_OK)

@@ -193,14 +193,14 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
     internal inconsistency and is raised, not returned.
     """
-    table = list(map(list, untwisted_diamond(cfg)))
-    for r in range(1, cfg.n):
-        (_, (_, h11, h12, _), (_, h21, h22, _), _) = sector_contribution(cfg, r)
-        table[1][1] += h11
-        table[1][2] += h12
-        table[2][1] += h21
-        table[2][2] += h22
-    diamond = HodgeDiamond(3, table)
+    row0, (h10, h11, h12, h13), (h20, h21, h22, h23), row3 = untwisted_diamond(cfg)
+    for r in range(1, cfg.n):  # a sector adds only to the four middle cells
+        (_, (_, s11, s12, _), (_, s21, s22, _), _) = sector_contribution(cfg, r)
+        h11 += s11
+        h12 += s12
+        h21 += s21
+        h22 += s22
+    diamond = HodgeDiamond(3, (row0, (h10, h11, h12, h13), (h20, h21, h22, h23), row3))
     t = diamond.table
     if not (t[0][0] == t[3][3] == t[3][0] == t[0][3] == 1
             and t[1][0] == t[0][1] == t[2][0] == t[0][2] == 0
@@ -221,7 +221,9 @@ def orbifold_euler_pairsum(cfg: K3Config, _eulers: Optional[list[int]] = None) -
     n = cfg.n
     if _eulers is None:
         _eulers = [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[n]]
-    total = sum(e * weight for e, (_, weight) in zip(_eulers, _PAIR_CLASSES[n]))
+    total = 0
+    for e, (_, weight) in zip(_eulers, _PAIR_CLASSES[n]):
+        total += e * weight
     if total % n:
         raise RuntimeError(f"pair sum {total} not divisible by {n}: corrupted input")
     return total // n
@@ -263,7 +265,7 @@ class CrosscheckReport(Record):
 
     @property
     def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return "fail" not in [c.status for c in self.checks]
 
 
 def _check(name, lhs, rhs) -> Check:

@@ -167,8 +167,12 @@ def euler_fixed_set(cfg: K3Config, j: int) -> int:
     if r == 0:
         return K3_EULER
     rec = cfg.record(cfg.n // gcd(r, cfg.n))
-    return (sum(c.count * c.orbit_size * (2 - 2 * c.genus) for c in rec.curves)
-            + sum(p.count * p.orbit_size for p in rec.points))
+    e = 0
+    for c in rec.curves:
+        e += c.count * c.orbit_size * (2 - 2 * c.genus)
+    for p in rec.points:
+        e += p.count * p.orbit_size
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +193,14 @@ def _validate_eigenspace(cfg: K3Config, out: list):
     if {*map(type, dims)} != {int}:
         _ints(out, where, {f"[{j}]": v for j, v in enumerate(dims)})
         return
-    if any(v < 0 for v in dims):
+    if min(dims) < 0:
         out.append(Violation(where, "dimensions must be nonnegative"))
         return
     if sum(dims) != K3_H2_DIM:
         out.append(Violation(where, f"eigenspace dims must sum to {K3_H2_DIM}, got {sum(dims)}"))
-    for jj in range(1, n):
-        if dims[jj] != dims[n - jj]:
-            out.append(Violation(where, f"conjugate symmetry fails: d[{jj}] != d[{n - jj}]"))
-            break
+    if dims[1:] != dims[:0:-1]:  # d[j] == d[n - j] for every j > 0
+        jj = next(j for j in range(1, n) if dims[j] != dims[n - j])
+        out.append(Violation(where, f"conjugate symmetry fails: d[{jj}] != d[{n - jj}]"))
     if dims[0] < 1:
         out.append(Violation(where, "invariant part d[0] must be at least 1"))
     need = 2 if n == 2 else 1
@@ -206,107 +209,106 @@ def _validate_eigenspace(cfg: K3Config, out: list):
             where, f"d[1] must be at least {need} (it contains the period classes)"))
 
 
+def _where(d, items: str = "", i: int = 0) -> str:
+    """``subgroup[d]``, or item ``i`` of its ``items``: only a finding builds the string."""
+    return f"subgroup[{d}].{items}[{i}]" if items else f"subgroup[{d}]"
+
+
 def _validate_records(cfg: K3Config, out: list):
     n = cfg.n
     seen = set()
     for rec in cfg.records:
         d = rec.subgroup_order
-        where = f"subgroup[{d}]"
         if type(d) is not int:
-            _ints(out, where, {".order": d})
+            _ints(out, _where(d), {".order": d})
             continue
         if d <= 1 or n % d:
-            out.append(Violation(where, f"subgroup order must be a divisor of {n} greater than 1"))
+            out.append(Violation(_where(d), f"subgroup order must be a divisor of {n} "
+                                            "greater than 1"))
             continue
         if d in seen:
-            out.append(Violation(where, "duplicate record for this subgroup"))
+            out.append(Violation(_where(d), "duplicate record for this subgroup"))
             continue
         seen.add(d)
         for i, c in enumerate(rec.curves):
-            w = f"{where}.curves[{i}]"
             gq = c.quotient_genus  # may be unset: reported below when it is required
             # the quick test passes for most curves, which then build no field names
             quick = (type(c.genus) is type(c.orbit_size) is type(c.residual_order)
                      is type(c.count) is type(gq) is int
                      and (c.char_dims is None or {*map(type, c.char_dims)} <= {int}))
-            if not quick and not _ints(out, w, {
+            if not quick and not _ints(out, _where(d, "curves", i), {
                     ".genus": c.genus, ".count": c.count, ".residual_order": c.residual_order,
                     ".orbit_size": c.orbit_size, ".quotient_genus": 0 if gq is None else gq,
                     **{f".char_dims[{j}]": v for j, v in enumerate(c.char_dims or ())}}):
                 continue
+            rho, dims = c.residual_order, c.char_dims
             if c.count < 1 or c.orbit_size < 1:
-                out.append(Violation(w, "count and orbit_size must be at least 1"))
-                continue
-            if c.genus < 0:
-                out.append(Violation(w, "genus must be nonnegative"))
-                continue
-            rho = c.residual_order
-            if rho not in (1, 2, 3):
-                out.append(Violation(w, f"residual order {rho} not supported (1, 2 or 3)"))
-                continue
-            if n % (c.orbit_size * rho * d):
-                out.append(Violation(
-                    w,
-                    f"orbit size {c.orbit_size}, residual order {rho} and subgroup order "
-                    f"{d} must multiply into a divisor of {n}",
-                ))
-                continue
-            if gq is None:
-                out.append(Violation(w, "quotient_genus is required when residual_order > 1"))
-                continue
-            if rho == 1 and gq != c.genus:
-                out.append(Violation(
-                    w, "a pointwise-fixed curve has quotient genus equal to its genus"))
-            gq_in_range = 0 <= gq <= c.genus
-            if not gq_in_range:
-                out.append(Violation(w, f"quotient genus must lie in 0..{c.genus}"))
-            dims = c.char_dims
-            if dims is None:
-                # the default split of a residual order-3 curve needs an even rest
-                if rho == 3 and gq_in_range and (c.genus - gq) % 2:
-                    out.append(Violation(w, "odd non-invariant dimension under a residual "
-                                            "order-3 action has no balanced split; supply "
-                                            "char_dims explicitly"))
-            elif len(dims) != n:
-                out.append(Violation(w, f"expected {n} multiplicities, got {len(dims)}"))
-            elif min(dims) < 0:
-                out.append(Violation(w, f"negative multiplicity in {dims}"))
-            elif sum(dims) != c.genus:
-                out.append(Violation(w, f"explicit char_dims must sum to the genus {c.genus}"))
-            elif dims[0] != gq:
-                out.append(Violation(w, f"explicit char_dims must have quotient genus {gq} "
-                                        "at character 0"))
-            elif any(m and j % (n // rho) for j, m in enumerate(dims)):
-                out.append(Violation(
-                    w, f"explicit char_dims supported only on multiples of {n // rho}"))
+                faults = ["count and orbit_size must be at least 1"]
+            elif c.genus < 0:
+                faults = ["genus must be nonnegative"]
+            elif rho not in (1, 2, 3):
+                faults = [f"residual order {rho} not supported (1, 2 or 3)"]
+            elif n % (c.orbit_size * rho * d):
+                faults = [f"orbit size {c.orbit_size}, residual order {rho} and subgroup "
+                          f"order {d} must multiply into a divisor of {n}"]
+            elif gq is None:
+                faults = ["quotient_genus is required when residual_order > 1"]
+            else:
+                faults = []
+                if rho == 1 and gq != c.genus:
+                    faults.append("a pointwise-fixed curve has quotient genus equal to its genus")
+                gq_in_range = 0 <= gq <= c.genus
+                if not gq_in_range:
+                    faults.append(f"quotient genus must lie in 0..{c.genus}")
+                if dims is None:
+                    # the default split of a residual order-3 curve needs an even rest
+                    if rho == 3 and gq_in_range and (c.genus - gq) % 2:
+                        faults.append("odd non-invariant dimension under a residual order-3 "
+                                      "action has no balanced split; supply char_dims "
+                                      "explicitly")
+                elif len(dims) != n:
+                    faults.append(f"expected {n} multiplicities, got {len(dims)}")
+                elif min(dims) < 0:
+                    faults.append(f"negative multiplicity in {dims}")
+                elif sum(dims) != c.genus:
+                    faults.append(f"explicit char_dims must sum to the genus {c.genus}")
+                elif dims[0] != gq:
+                    faults.append(f"explicit char_dims must have quotient genus {gq} at "
+                                  "character 0")
+                elif any(m and j % (n // rho) for j, m in enumerate(dims)):
+                    faults.append(f"explicit char_dims supported only on multiples of {n // rho}")
+            if faults:
+                where = _where(d, "curves", i)
+                out.extend(Violation(where, fault) for fault in faults)
         for i, p in enumerate(rec.points):
-            w = f"{where}.points[{i}]"
             if len(p.type_exponents) != 2:
-                out.append(Violation(w + ".type", "expected a pair of exponents, "
-                                                  f"got {p.type_exponents!r}"))
+                out.append(Violation(_where(d, "points", i) + ".type",
+                                     f"expected a pair of exponents, got {p.type_exponents!r}"))
                 continue
             t1, t2 = p.type_exponents
             if not type(t1) is type(t2) is type(p.orbit_size) is type(p.count) is int:
-                _ints(out, w, {".type[0]": t1, ".type[1]": t2,
-                               ".orbit_size": p.orbit_size, ".count": p.count})
+                _ints(out, _where(d, "points", i), {".type[0]": t1, ".type[1]": t2,
+                                                    ".orbit_size": p.orbit_size,
+                                                    ".count": p.count})
                 continue
             if p.count < 1 or p.orbit_size < 1:
-                out.append(Violation(w, "count and orbit_size must be at least 1"))
+                out.append(Violation(_where(d, "points", i),
+                                     "count and orbit_size must be at least 1"))
                 continue
-            if (n // d) % p.orbit_size:
-                out.append(Violation(w, f"point orbit size must divide {n // d}"))
             step = n // d
+            if step % p.orbit_size:
+                out.append(Violation(_where(d, "points", i),
+                                     f"point orbit size must divide {step}"))
             if t1 % n == 0 or t2 % n == 0:
-                out.append(Violation(
-                    w, "type exponents must be nonzero (zero means a fixed curve)"))
+                fault = "type exponents must be nonzero (zero means a fixed curve)"
             elif t1 % step or t2 % step:
-                out.append(Violation(w, f"type exponents must be multiples of {step}"))
+                fault = f"type exponents must be multiples of {step}"
             elif (t1 + t2) % n != step % n:
-                out.append(Violation(
-                    w,
-                    f"type exponents must sum to {step} mod {n} "
-                    "(the subgroup generator scales the period by that character)",
-                ))
+                fault = (f"type exponents must sum to {step} mod {n} "
+                         "(the subgroup generator scales the period by that character)")
+            else:
+                continue
+            out.append(Violation(_where(d, "points", i), fault))
 
 
 def validate(cfg: K3Config) -> list[Violation]:
@@ -362,6 +364,8 @@ _POINT_TYPE_6 = {"p25": (2, 5), "p34": (3, 4), "square": (4, 4)}
 
 
 def _int_args(where, **kwargs):
+    if {*map(type, kwargs.values())} == {int} and min(kwargs.values()) >= 0:
+        return  # the list of bad names is built only for a failure
     bad = [f"{k}={v}" for k, v in kwargs.items()
            if isinstance(v, bool) or not isinstance(v, int) or v < 0]
     if bad:
@@ -372,12 +376,12 @@ def _int_args(where, **kwargs):
 def _curves(*specs) -> tuple[CurveOrbit, ...]:
     """Curve orbits of the (count, genus, orbit_size, residual_order, quotient_genus,
     char_dims) specs, trailing defaults left out; zero-count specs are dropped."""
-    return tuple(CurveOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0)
+    return tuple([CurveOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0])
 
 
 def _points(*specs) -> tuple[PointOrbit, ...]:
     """Point orbits of the (count, type_exponents, orbit_size) specs, as :func:`_curves`."""
-    return tuple(PointOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0)
+    return tuple([PointOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0])
 
 
 def _ro3_entry(g: int, gq: int) -> tuple:
@@ -398,9 +402,9 @@ def from_invariants_order2(r: int, curve_genera) -> K3Config:
     _int_args("order2", r=r, **{f"genus[{i}]": g for i, g in enumerate(genera)})
     dims = EigenspaceDims(2, (r, K3_H2_DIM - r))
     counts: dict[int, int] = {}
-    for g in genera:
+    for g in sorted(genera, reverse=True):  # the dict keeps the genera descending
         counts[g] = counts.get(g, 0) + 1
-    curves = _curves(*((c, g) for g, c in sorted(counts.items(), reverse=True)))
+    curves = _curves(*zip(counts.values(), counts))
     cfg = K3Config(
         2, dims, (SubgroupFixedRecord(2, curves),),
         invariants={"r": r, "curve_genera": list(genera)},

@@ -97,12 +97,17 @@ class HodgeDiamond(Record):
         return tuple(zip(*self.table)) == self.table
 
     def is_self_dual(self) -> bool:
-        """h^{p,q} = h^{d-p,d-q}."""
-        return tuple(row[::-1] for row in reversed(self.table)) == self.table
+        """h^{p,q} = h^{d-p,d-q}: the entries read backwards, row after row, are the same."""
+        flat = sum(self.table, ())
+        return flat[::-1] == flat
 
     def pictogram(self) -> str:
         """Diamond-shaped rendering; see :func:`pictogram`."""
         return pictogram(self.table)
+
+
+#: ``_PICTOGRAM_ROWS[d]``: the (p, q) cells of each row of a d-dimensional drawing, once drawn
+_PICTOGRAM_ROWS: dict[int, tuple] = {}
 
 
 def pictogram(table) -> str:
@@ -113,19 +118,29 @@ def pictogram(table) -> str:
     h^{1,2} h^{0,3}.
     """
     d = len(table) - 1
+    rows = _PICTOGRAM_ROWS.get(d)
+    if rows is None:
+        rows = _PICTOGRAM_ROWS[d] = tuple(
+            tuple((p, k - p) for p in range(min(k, d), max(k - d, 0) - 1, -1))
+            for k in range(2 * d + 1))
     cells = [list(map(str, row)) for row in table]
     width = max(map(len, sum(cells, []))) + 2
-    return "\n".join(
-        "".join([cells[p][k - p].center(width) for p in range(min(k, d), max(k - d, 0) - 1, -1)])
-        .center((2 * d + 1) * width).rstrip()
-        for k in range(2 * d + 1))
+    lines = []
+    for row in rows:
+        line = ""
+        for p, q in row:
+            line += cells[p][q].center(width)
+        lines.append(line.center((2 * d + 1) * width).rstrip())
+    return "\n".join(lines)
 
 
 def euler_characteristic(diamond: HodgeDiamond) -> int:
     """Alternating sum sum_{p,q} (-1)^{p+q} h^{p,q}."""
     # row p adds its entries at q of the parity of p and takes away the others
-    return sum(sum(row[p % 2::2]) - sum(row[1 - p % 2::2])
-               for p, row in enumerate(diamond.table))
+    e = 0
+    for p, row in enumerate(diamond.table):
+        e += (-1) ** p * (sum(row[::2]) - sum(row[1::2]))
+    return e
 
 
 #: a square grid ``grid[p][q]`` of character vectors, one per bidegree, over one modulus

@@ -284,17 +284,34 @@ HAND_BUILT = {
                {"name": "\u03a3 \"odd\"", "status": "fail", "lhs": None, "rhs": -3}],
 }
 LONG = 10 ** 999 + 7  # a thousand digits
+#: the exit-2 report of a raw document, echoed with its nested keys unsorted
+INVALID_RAW = {
+    "order": 3, "exit_code": 2, "diamond": None, "engine": None, "closed_form": None,
+    "checks": None,
+    "config": {"raw": {"subgroups": [{"points": [{"type": [2, 2], "count": 2}], "order": 3,
+                                      "curves": [{"genus": 1, "count": 1},
+                                                 {"residual_order": 4, "genus": 0}]}],
+                       "eigenspace_dims": [10, 6, 6]}, "order": 3},
+    "violations": ["error: subgroup[3].curves[1]: residual order 4 not supported (1, 2 or 3)"],
+}
+
+
+def test_the_invalid_raw_report_is_one_a_run_makes(monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report) or "")
+    assert cli.run_text(json.dumps(INVALID_RAW["config"]), "json") == ("", 2)
+    assert reports == [INVALID_RAW]
 
 
 @pytest.mark.parametrize("changes", [
     {},
     {"checks": []},
-    {"checks": None, "closed_form": None},
+    INVALID_RAW,
     {"diamond": None, "engine": None, "checks": None, "violations": ["error: x: y"],
      "exit_code": 2},
     {"diamond": [[LONG] * 4] * 4, "engine": {"h11": LONG, "h21": -LONG, "euler": 0},
      "checks": [{"name": "cy_relation", "status": "fail", "lhs": -LONG, "rhs": LONG}]},
-], ids=["checks", "no-checks", "checks-off", "invalid", "long"])
+], ids=["checks", "no-checks", "invalid-raw", "invalid", "long"])
 def test_emit_writes_hand_built_reports_as_the_standard_library(changes):
     report = dict(HAND_BUILT, **changes)
     _assert_one_line_of(cli.emit(report, "json"), report)
@@ -557,7 +574,13 @@ CANNOT_WRITE = b"error: cannot write the output: "
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="no /dev/full")),
     (("--fixture", "order2_two_curves"), "closed", CANNOT_WRITE + b"stdout is closed\n"),
-], ids=["list-fixtures", "fixture-json", "full-device", "closed-stdout"])
+    pytest.param(("--help",), "full", CANNOT_WRITE + b"[Errno 28] No space left on device\n",
+                 id="help-full-device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+    (("--help",), "closed", CANNOT_WRITE + b"stdout is closed\n"),
+], ids=["list-fixtures", "fixture-json", "full-device", "closed-stdout", "help-full-device",
+        "help-closed-stdout"])
 def test_cli_process_exits_1_without_a_traceback_when_stdout_is_gone(args, stdout, stderr):
     # a pipe whose read end is closed before the run, a device that takes no
     # byte, or no stdout at all: a broken pipe is silent, the others say why

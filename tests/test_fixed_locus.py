@@ -225,6 +225,31 @@ def test_validate_refuses_non_integer_fields():
         K3Config(2.0, dims2, ())
 
 
+def test_validate_names_each_finding_at_its_own_index():
+    # one configuration failing in several records, at nonzero indices: every
+    # finding names its own item, in the order validate meets them
+    eigenspace = EigenspaceDims(6, (2, 4, 3, 4, 5, 4))
+    rec6 = SubgroupFixedRecord(6, (CurveOrbit(genus=1),),
+                               (PointOrbit((2, 5)), PointOrbit((2, 5, 1))))
+    rec3 = SubgroupFixedRecord(3, (CurveOrbit(genus=0),
+                                   CurveOrbit(genus=0, residual_order=2, quotient_genus=0),
+                                   CurveOrbit(genus=0, residual_order=4, quotient_genus=0)),
+                               (PointOrbit((4, 4)), PointOrbit((4, 4), orbit_size=3)))
+    rec2 = SubgroupFixedRecord(2, (CurveOrbit(genus=0), CurveOrbit(genus=2, quotient_genus=3),
+                                   CurveOrbit(genus=1.5)))
+    cfg = K3Config(6, eigenspace, (rec6, rec3, rec2))
+    assert [(v.where, v.message) for v in validate(cfg)] == [
+        ("eigenspace_dims", "conjugate symmetry fails: d[2] != d[4]"),
+        ("subgroup[6].points[1].type", "expected a pair of exponents, got (2, 5, 1)"),
+        ("subgroup[3].curves[2]", "residual order 4 not supported (1, 2 or 3)"),
+        ("subgroup[3].points[1]", "point orbit size must divide 2"),
+        ("subgroup[2].curves[1]", "a pointwise-fixed curve has quotient genus equal to its genus"),
+        ("subgroup[2].curves[1]", "quotient genus must lie in 0..2"),
+        ("subgroup[2].curves[2].genus", "expected an integer, got 1.5"),
+        ("subgroup[2].curves[2].quotient_genus", "expected an integer, got 1.5"),
+    ]
+
+
 def test_validate_orbit_size_divisibility():
     rec = SubgroupFixedRecord(2, curves=(CurveOrbit(genus=0, orbit_size=3),))
     cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
