@@ -106,6 +106,15 @@ def _as_object(value, allowed: frozenset, path, key="") -> dict:
     return value
 
 
+def _given_ints(doc: dict, names: tuple, here) -> dict:
+    """The integer fields ``names`` in ``doc``, in order: the record defaults the rest."""
+    given = {}
+    for name in names:  # a plain loop: a comprehension costs a frame per call
+        if name in doc and (doc[name] is not None or name != "quotient_genus"):
+            given[name] = _as_int(doc[name], here, "." + name)
+    return given
+
+
 def _parse_curve(doc: dict, path, key) -> CurveOrbit:
     _as_object(doc, _CURVE_FIELDS, path, key)
     here = path, key
@@ -113,15 +122,9 @@ def _parse_curve(doc: dict, path, key) -> CurveOrbit:
     if char_dims is not None:
         char_dims = tuple(_as_int(v, (here, ".char_dims"), i)
                           for i, v in enumerate(_as_list(char_dims, here, ".char_dims")))
-    quotient_genus = doc.get("quotient_genus")
-    return CurveOrbit(
-        _as_int(_need(doc, "genus", here), here, ".genus"),
-        _as_int(doc.get("orbit_size", 1), here, ".orbit_size"),
-        _as_int(doc.get("residual_order", 1), here, ".residual_order"),
-        None if quotient_genus is None else _as_int(quotient_genus, here, ".quotient_genus"),
-        char_dims,
-        _as_int(doc.get("count", 1), here, ".count"),
-    )
+    genus = _as_int(_need(doc, "genus", here), here, ".genus")
+    return CurveOrbit(genus, char_dims=char_dims, **_given_ints(
+        doc, ("orbit_size", "residual_order", "quotient_genus", "count"), here))
 
 
 def _parse_point(doc: dict, path, key) -> PointOrbit:
@@ -130,11 +133,8 @@ def _parse_point(doc: dict, path, key) -> PointOrbit:
     ty = _need(doc, "type", here)
     if not isinstance(ty, list) or len(ty) != 2:
         raise SchemaError(f"{_at(here)}.type: expected a pair of exponents")
-    return PointOrbit(
-        (_as_int(ty[0], here, ".type[0]"), _as_int(ty[1], here, ".type[1]")),
-        _as_int(doc.get("orbit_size", 1), here, ".orbit_size"),
-        _as_int(doc.get("count", 1), here, ".count"),
-    )
+    return PointOrbit((_as_int(ty[0], here, ".type[0]"), _as_int(ty[1], here, ".type[1]")),
+                      **_given_ints(doc, ("orbit_size", "count"), here))
 
 
 def _parse_raw(order: int, doc: dict) -> K3Config:

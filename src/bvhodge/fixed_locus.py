@@ -70,9 +70,10 @@ class CurveOrbit(Record):
     the group; ``count`` collapses repeated identical orbits.  The residual
     cyclic group of order ``residual_order`` is the stabilizer of a member
     modulo its pointwise-fixing subgroup; ``quotient_genus`` is the genus of
-    a member divided by that residual group.  ``char_dims``, when given,
-    overrides the default character split of the (1,0)-cohomology of a
-    member under the residual action (length-n vector of multiplicities).
+    a member divided by that residual group.  ``char_dims`` optionally
+    states the character split of the (1,0)-cohomology of a member under the
+    residual action (length-n vector of multiplicities); the engine never
+    needs it, and :func:`validate` checks it when given.
     """
 
     __slots__ = ("genus", "orbit_size", "residual_order", "quotient_genus", "char_dims", "count")
@@ -257,26 +258,21 @@ def _validate_records(cfg: K3Config, out: list):
                 faults = []
                 if rho == 1 and gq != c.genus:
                     faults.append("a pointwise-fixed curve has quotient genus equal to its genus")
-                gq_in_range = 0 <= gq <= c.genus
-                if not gq_in_range:
+                if not 0 <= gq <= c.genus:
                     faults.append(f"quotient genus must lie in 0..{c.genus}")
-                if dims is None:
-                    # the default split of a residual order-3 curve needs an even rest
-                    if rho == 3 and gq_in_range and (c.genus - gq) % 2:
-                        faults.append("odd non-invariant dimension under a residual order-3 "
-                                      "action has no balanced split; supply char_dims "
-                                      "explicitly")
-                elif len(dims) != n:
-                    faults.append(f"expected {n} multiplicities, got {len(dims)}")
-                elif min(dims) < 0:
-                    faults.append(f"negative multiplicity in {dims}")
-                elif sum(dims) != c.genus:
-                    faults.append(f"explicit char_dims must sum to the genus {c.genus}")
-                elif dims[0] != gq:
-                    faults.append(f"explicit char_dims must have quotient genus {gq} at "
-                                  "character 0")
-                elif any(m and j % (n // rho) for j, m in enumerate(dims)):
-                    faults.append(f"explicit char_dims supported only on multiples of {n // rho}")
+                if dims is not None:  # optional, as the engine reads no split, but checked
+                    if len(dims) != n:
+                        faults.append(f"expected {n} multiplicities, got {len(dims)}")
+                    elif min(dims) < 0:
+                        faults.append(f"negative multiplicity in {dims}")
+                    elif sum(dims) != c.genus:
+                        faults.append(f"explicit char_dims must sum to the genus {c.genus}")
+                    elif dims[0] != gq:
+                        faults.append(f"explicit char_dims must have quotient genus {gq} at "
+                                      "character 0")
+                    elif any(m and j % (n // rho) for j, m in enumerate(dims)):
+                        faults.append("explicit char_dims supported only on multiples of "
+                                      f"{n // rho}")
             if faults:
                 where = _where(d, "curves", i)
                 out.extend(Violation(where, fault) for fault in faults)
@@ -330,32 +326,6 @@ def _raise_on(violations):
         raise InvariantError(violations)
 
 
-def order4_relations(k: int, b: int, n1: int, n2: int, g_D: int, D_type: str) -> list[Violation]:
-    """The isolated-point and invariant-curve counts that the type of D forces.
-
-    With h = k - g(D) for the first type and h = k for the second, the
-    isolated points number n1 + n2 = 2h + 4, and b = n1/2 (first type, where
-    n2 = 0) or b = n1/2 + 1 (second type).
-    """
-    n_points = n1 + n2
-    v = []
-    if D_type == "first":
-        h = k - g_D
-        if n_points != 2 * h + 4:
-            v.append(Violation("order4", f"first type needs n1 = 2h+4 ({n_points} != 2*{h}+4)"))
-        if 2 * b != n_points:
-            v.append(Violation("order4", f"first type needs b = n1/2 ({b} != {n_points}/2)"))
-    else:
-        h = k
-        if n_points != 2 * h + 4:
-            v.append(Violation("order4", "second type needs n1+n2 = 2h+4 "
-                                         f"({n_points} != 2*{h}+4)"))
-        if 2 * (b - 1) != n1:
-            v.append(Violation("order4", "second type needs b = n1/2 + 1 "
-                                         f"({b} != ({n_points} - {n2})/2 + 1)"))
-    return v
-
-
 # ---------------------------------------------------------------------------
 # constructors from the named invariants of each order
 
@@ -363,9 +333,13 @@ _POINT_TYPE = {3: (2, 2), 4: (2, 3)}
 _POINT_TYPE_6 = {"p25": (2, 5), "p34": (3, 4), "square": (4, 4)}
 
 
-def _int_args(where, **kwargs):
-    if {*map(type, kwargs.values())} == {int} and min(kwargs.values()) >= 0:
-        return  # the list of bad names is built only for a failure
+def _int_args(where, *genera, **kwargs):
+    """Refuse any of ``kwargs`` and ``genera`` (named ``genus[i]``) that is not a
+    nonnegative int; the names are built only for a failure."""
+    values = (*kwargs.values(), *genera)
+    if {*map(type, values)} == {int} and min(values) >= 0:
+        return
+    kwargs.update({f"genus[{i}]": g for i, g in enumerate(genera)})
     bad = [f"{k}={v}" for k, v in kwargs.items()
            if isinstance(v, bool) or not isinstance(v, int) or v < 0]
     if bad:
@@ -384,22 +358,10 @@ def _points(*specs) -> tuple[PointOrbit, ...]:
     return tuple([PointOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0])
 
 
-def _ro3_entry(g: int, gq: int) -> tuple:
-    """Spec of one curve of genus g and quotient genus gq under a residual order-3 action.
-
-    An odd non-invariant dimension has no balanced split; it gets the
-    near-balanced one, which the invariant pairing cannot distinguish.
-    """
-    dims = None
-    if (g - gq) % 2:
-        dims = (gq, 0, (g - gq + 1) // 2, 0, (g - gq) // 2, 0)
-    return 1, g, 1, 3, gq, dims
-
-
 def from_invariants_order2(r: int, curve_genera) -> K3Config:
     """Order 2: invariant rank r and the genera of the fixed curves."""
     genera = tuple(curve_genera)
-    _int_args("order2", r=r, **{f"genus[{i}]": g for i, g in enumerate(genera)})
+    _int_args("order2", *genera, r=r)
     dims = EigenspaceDims(2, (r, K3_H2_DIM - r))
     counts: dict[int, int] = {}
     for g in sorted(genera, reverse=True):  # the dict keeps the genera descending
@@ -416,23 +378,21 @@ def from_invariants_order2(r: int, curve_genera) -> K3Config:
 def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K3Config:
     """Order 3: k fixed curves (top genus g_C) and n isolated fixed points."""
     _int_args("order3", r=r, m=m, k=k, n_points=n_points, g_C=g_C)
+    v: list[Violation] = []
     if r + 2 * m != K3_H2_DIM:
-        raise InvariantError([Violation("order3",
-                                        f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}")])
+        v.append(Violation("order3", f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}"))
     if k == 0 and g_C > 0:
-        raise InvariantError([Violation("order3",
-                                        "a positive top genus needs at least one curve")])
+        v.append(Violation("order3", "a positive top genus needs at least one curve"))
+    if k + n_points == 0:
+        v.append(Violation("subgroup[3]", "an order-3 action always has a nonempty fixed locus"))
+    _raise_on(v)
     curves = _curves((1 if k else 0, g_C), (max(k - 1, 0), 0))
     points = _points((n_points, _POINT_TYPE[3]))
     cfg = K3Config(
         3, EigenspaceDims(3, (r, m, m)), (SubgroupFixedRecord(3, curves, points),),
         invariants={"r": r, "m": m, "k": k, "n_points": n_points, "g_C": g_C},
     )
-    violations = validate(cfg)
-    if not violations and k + n_points == 0:
-        violations = [Violation("subgroup[3]",
-                                "an order-3 action always has a nonempty fixed locus")]
-    _raise_on(violations)
+    _raise_on(validate(cfg))
     return cfg
 
 
@@ -447,19 +407,26 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
     which pins the quotient genus of D to (2 + 2g(D) - n2)/4.
     """
     _int_args("order4", r=r, m=m, k=k, a=a, b=b, n1=n1, n2=n2, g_D=g_D)
-    v: list[Violation] = []
     if D_type not in ("first", "second"):
         raise InvariantError([Violation("order4", "D_type must be 'first' or 'second', "
                                                   f"got {D_type!r}")])
+    v: list[Violation] = []
     d2 = K3_H2_DIM - r - 2 * m
     if d2 < 0:
         v.append(Violation("order4", f"need r + 2m <= {K3_H2_DIM}"))
+    # with h = k - g(D) (first type) or k (second), the isolated points number
+    # n1 + n2 = 2h + 4, and b = n1/2 (first) or n1/2 + 1 (second)
+    n_points = n1 + n2
     if D_type == "first":
         if k < 1:
             v.append(Violation("order4", "first type needs at least one pointwise-fixed curve"))
         if n2 != 0:
             v.append(Violation("order4", "first type forces n2 = 0"))
-        d_quot = g_D
+        h = k - g_D
+        if n_points != 2 * h + 4:
+            v.append(Violation("order4", f"first type needs n1 = 2h+4 ({n_points} != 2*{h}+4)"))
+        if 2 * b != n_points:
+            v.append(Violation("order4", f"first type needs b = n1/2 ({b} != {n_points}/2)"))
     else:
         if b < 1:
             v.append(Violation("order4", "second type needs at least one invariant curve"))
@@ -468,14 +435,18 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
         if n2 > 2 + 2 * g_D or (2 + 2 * g_D - n2) % 4:
             v.append(Violation("order4", "the residual involution on D needs "
                                          "n2 <= 2 + 2g(D) and n2 = 2 + 2g(D) mod 4"))
-        d_quot = (2 + 2 * g_D - n2) // 4 if not v else 0
-    if v:
-        raise InvariantError(v)
+        if n_points != 2 * k + 4:
+            v.append(Violation("order4", "second type needs n1+n2 = 2h+4 "
+                                         f"({n_points} != 2*{k}+4)"))
+        if 2 * (b - 1) != n1:
+            v.append(Violation("order4", "second type needs b = n1/2 + 1 "
+                                         f"({b} != ({n_points} - {n2})/2 + 1)"))
+    _raise_on(v)
 
     fixed_curves = (_curves((1, g_D), (k - 1, 0)) if D_type == "first"
                     else _curves((k, 0)))
     inv_curves = (_curves((b, 0, 1, 2, 0)) if D_type == "first"
-                  else _curves((1, g_D, 1, 2, d_quot), (b - 1, 0, 1, 2, 0)))
+                  else _curves((1, g_D, 1, 2, (2 + 2 * g_D - n2) // 4), (b - 1, 0, 1, 2, 0)))
     rec4 = SubgroupFixedRecord(4, fixed_curves, _points((n1 + n2, _POINT_TYPE[4])))
     rec2 = SubgroupFixedRecord(2, fixed_curves + inv_curves + _curves((a, 0, 2)))
     cfg = K3Config(
@@ -483,7 +454,7 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
         invariants={"r": r, "m": m, "k": k, "a": a, "b": b, "n1": n1, "n2": n2,
                     "g_D": g_D, "D_type": D_type},
     )
-    _raise_on(validate(cfg) or order4_relations(k, b, n1, n2, g_D, D_type))
+    _raise_on(validate(cfg))
     return cfg
 
 
@@ -545,13 +516,12 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
     if len(placed_f) > c3:
         v.append(Violation(
             where, "not enough invariant cube-fixed curves to carry the genera"))
-    if v:
-        raise InvariantError(v)
+    _raise_on(v)
 
     fixed = _curves((1 if l else 0, g_D), (l - 1 if l else 0, 0))
     ro2 = (_curves((1, g_G, 1, 2, g_G_quot), (c2 - 1, 0, 1, 2, 0)) if g_D == 0 and g_G > 0
            else _curves((c2, 0, 1, 2, 0)))
-    ro3 = _curves(*(_ro3_entry(g, gq) for g, gq in placed_f),
+    ro3 = _curves(*((1, g, 1, 3, gq) for g, gq in placed_f),
                   (c3 - len(placed_f), 0, 1, 3, 0))
     rec6 = SubgroupFixedRecord(6, fixed, _points((p25, _POINT_TYPE_6["p25"]),
                                                  (p34, _POINT_TYPE_6["p34"])))

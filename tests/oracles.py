@@ -169,15 +169,19 @@ def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:
     The residual group of order rho embeds into C_n as the subgroup generated
     by the character index n/rho, so the split is reported directly in C_n
     characters: ``char_dims`` when given, else the quotient genus at
-    character 0 and the rest spread evenly over the other multiples of n/rho,
-    which :func:`bvhodge.fixed_locus.validate` has checked to be possible.
+    character 0 and the rest spread evenly over the other multiples of n/rho.
+    An odd rest under rho = 3 has no even spread; it gets the near-balanced
+    one, its extra form at n/3, which the invariant pairing cannot tell from
+    any other split of the rest.
     """
     if curve.char_dims is not None:
         return curve.char_dims
     rho, gq = curve.residual_order, curve.quotient_genus
     c = [gq] + [0] * (n - 1)
-    for t in range(1, rho):
-        c[t * n // rho] = (curve.genus - gq) // (rho - 1)
+    if rho > 1:
+        even, extra = divmod(curve.genus - gq, rho - 1)
+        for t in range(1, rho):
+            c[t * n // rho] = even + (t <= extra)
     return tuple(c)
 
 

@@ -50,6 +50,11 @@ from test_hodge_algebra import e_table, k3_table
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
 ORDER6_GD1 = dict(r=2, m=4, l=1, k=1, N=1, a=0, b=0, n_prime=0, p25=0, p34=0,
                   g_D=1, g_G=1, g_G_quot=1, g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
+#: F1 and F2 are elliptic curves of quotient genus 0 under a residual order-3 action,
+#: so each has an odd rest of 1 and no even split
+ODD_REST_ORDER6 = dict(r=12, m=2, l=3, k=8, N=8, a=1, b=1, n_prime=2, p25=0, p34=6,
+                       g_D=0, g_G=4, g_G_quot=2, g_F1=1, g_F1_quot=0, g_F2=1, g_F2_quot=0)
+AT2, AT4 = [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]  # the splits of a rest of 1 under n = 6
 
 
 # --- untwisted part -----------------------------------------------------------
@@ -241,13 +246,10 @@ def test_serving_path_builds_no_character_vector(monkeypatch):
         raise AssertionError("CharacterVector built on the serving path")
 
     monkeypatch.setattr(hodge.CharacterVector, "__init__", refuse)
-    # F1 and F2 are elliptic curves of quotient genus 0, so their splits come as char_dims
-    split = from_invariants_order6(r=12, m=2, l=3, k=8, N=8, a=1, b=1, n_prime=2, p25=0,
-                                   p34=6, g_D=0, g_G=4, g_G_quot=2, g_F1=1, g_F1_quot=0,
-                                   g_F2=1, g_F2_quot=0)
-    assert any(c.char_dims for c in split.record(2).curves)
     texts = [cli.load_fixture_text(name) for name in EXIT0_FIXTURES]
-    texts.append(json.dumps({"order": 6, "raw": raw_form(split)}))
+    odd_rest = from_invariants_order6(**ODD_REST_ORDER6)
+    texts += [json.dumps({"order": 6, "raw": raw}) for raw in
+              (raw_form(odd_rest), _explicit_split_raw(odd_rest, AT2, AT4))]
     for text in texts:
         for fmt in ("text", "json"):
             assert cli.run_text(text, fmt=fmt)[1] == cli.EXIT_OK
@@ -346,14 +348,41 @@ def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, cells):
         orbifold_hodge_diamond(cfg)
 
 
+def _explicit_split_raw(cfg, f1_dims, f2_dims):
+    """The raw form of the ODD_REST_ORDER6 configuration, F1 and F2 stating their splits."""
+    raw = raw_form(cfg)
+    odd = [c for c in raw["subgroups"][2]["curves"]
+           if c["residual_order"] == 3 and c["genus"] == 1]
+    assert len(odd) == 2 and all(c["char_dims"] is None for c in odd)
+    odd[0]["char_dims"], odd[1]["char_dims"] = f1_dims, f2_dims
+    return raw
+
+
 def _explicit_split_config():
-    """A raw order-6 document whose elliptic F1 and F2 come with explicit char_dims."""
-    split = from_invariants_order6(r=12, m=2, l=3, k=8, N=8, a=1, b=1, n_prime=2, p25=0,
-                                   p34=6, g_D=0, g_G=4, g_G_quot=2, g_F1=1, g_F1_quot=0,
-                                   g_F2=1, g_F2_quot=0)
-    cfg = cli.parse_config({"order": 6, "raw": raw_form(split)})
+    """The configuration of a raw order-6 document whose F1 and F2 state their split."""
+    raw = _explicit_split_raw(from_invariants_order6(**ODD_REST_ORDER6), AT2, AT2)
+    cfg = cli.parse_config({"order": 6, "raw": raw})
     assert any(c.char_dims for c in cfg.record(2).curves) and cfg.invariants is None
     return cfg
+
+
+def test_an_odd_order3_rest_needs_no_char_dims():
+    # an elliptic curve with an order-3 automorphism and three fixed points has quotient
+    # genus 0 and a rest of 1: the engine reads no split, so a raw document may leave it
+    # out, and each split validate accepts for the rest (at character 2 or 4) gives the
+    # same diamond
+    cfg = from_invariants_order6(**ODD_REST_ORDER6)
+    raw = raw_form(cfg)
+    for curve in raw["subgroups"][2]["curves"]:
+        del curve["char_dims"]
+    text, code = cli.run_text(json.dumps({"order": 6, "raw": raw}), fmt="json")
+    assert code == cli.EXIT_OK
+    diamond = json.loads(text)["diamond"]
+    assert diamond == list(map(list, crosscheck(cfg).diamond.table))
+    for splits in ((AT2, AT2), (AT2, AT4), (AT4, AT2), (AT4, AT4)):
+        raw = _explicit_split_raw(cfg, *splits)
+        text, code = cli.run_text(json.dumps({"order": 6, "raw": raw}), fmt="json")
+        assert code == cli.EXIT_OK and json.loads(text)["diamond"] == diamond, splits
 
 
 def test_serving_path_runs_every_exit0_document():
@@ -380,10 +409,8 @@ def test_orbifold_diamond_raises_on_a_non_crepant_point():
 
 
 def _valid_quotient_genera(genus, rho):
-    """Every quotient genus validate accepts for a default split of this genus."""
-    if rho == 1:
-        return [genus]
-    return [gq for gq in range(genus + 1) if (genus - gq) % (rho - 1) == 0]
+    """Every quotient genus validate accepts for a curve of this genus with no char_dims."""
+    return [genus] if rho == 1 else list(range(genus + 1))
 
 
 def _explicit_splits(n, rho, genus, quotient_genus):
@@ -446,8 +473,6 @@ def _large_split_curves(draw):
     key = draw(st.sampled_from(sorted(engine._SPLIT_WEIGHTS[n])))
     genus = draw(st.integers(0, 10 ** 40))
     gq = genus if key[2] == 1 else draw(st.integers(0, genus))
-    if key[2] == 3:  # an even rest: the odd one has no default split
-        gq += (genus - gq) % 2
     return n, key, genus, gq, draw(st.integers(1, 10 ** 6))
 
 
@@ -455,7 +480,7 @@ def _large_split_curves(draw):
 @given(_large_split_curves())
 def test_split_weights_match_the_character_pairing_at_large_genera(drawn):
     n, key, genus, gq, count = drawn
-    assert 0 <= gq <= genus and (genus - gq) % max(key[2] - 1, 1) == 0
+    assert 0 <= gq <= genus
     kernel, pairing = _split_kernel(n, key, genus, gq, count)
     assert kernel == pairing
 

@@ -119,18 +119,6 @@ def test_validate_point_type_congruence():
     assert any("sum to" in str(v) for v in validate(cfg))
 
 
-def test_validate_odd_order3_split_needs_char_dims():
-    def config(curve):
-        rec2 = SubgroupFixedRecord(2, (curve,))
-        return K3Config(6, EigenspaceDims(6, (2, 4, 4, 4, 4, 4)), (rec2,))
-
-    odd = CurveOrbit(genus=2, residual_order=3, quotient_genus=1)
-    assert any("balanced split" in str(v) for v in validate(config(odd)))
-    explicit = CurveOrbit(genus=2, residual_order=3, quotient_genus=1,
-                          char_dims=(1, 0, 1, 0, 0, 0))
-    assert validate(config(explicit)) == []
-
-
 def _odd_order3_curve_config(char_dims):
     """Order 6 with one genus-2 curve of residual order 3 and quotient genus 1."""
     curve = CurveOrbit(genus=2, residual_order=3, quotient_genus=1, char_dims=char_dims)
@@ -294,12 +282,14 @@ def test_curve_dims_balanced_order3_split():
     assert curve_character_dims(curve, 6) == (1, 0, 1, 0, 1, 0)
 
 
-def test_curve_dims_odd_split_needs_override():
-    # validate refuses the odd split without char_dims (see
-    # test_validate_odd_order3_split_needs_char_dims); the override is used as given
+def test_curve_dims_odd_order3_split():
+    # an odd rest gets the near-balanced split, its extra form at n/3; an explicit
+    # split is used as given
+    odd = CurveOrbit(genus=2, residual_order=3, quotient_genus=1)
+    assert curve_character_dims(odd, 6) == (1, 0, 1, 0, 0, 0)
     explicit = CurveOrbit(genus=2, residual_order=3, quotient_genus=1,
-                          char_dims=(1, 0, 1, 0, 0, 0))
-    assert curve_character_dims(explicit, 6) == (1, 0, 1, 0, 0, 0)
+                          char_dims=(1, 0, 0, 0, 1, 0))
+    assert curve_character_dims(explicit, 6) == (1, 0, 0, 0, 1, 0)
 
 
 def test_curve_dims_unsupported_residual_order():
@@ -315,7 +305,7 @@ def test_curve_dims_total_and_invariant_part(data):
     if rho == 1:
         g, gq = gq, gq  # a pointwise-fixed curve keeps its full genus
     else:
-        g = gq + (2 * g_extra if rho == 3 else g_extra)
+        g = gq + g_extra  # an odd rest under rho = 3 included
     curve = CurveOrbit(genus=g, residual_order=rho, quotient_genus=gq)
     dims = curve_character_dims(curve, 6)
     assert len(dims) == 6
@@ -350,6 +340,28 @@ def test_order2_constructor_rejects_non_integer_genera(genera):
 def test_order3_constructor_rejects_empty_fixed_locus():
     with pytest.raises(InvariantError):
         from_invariants_order3(4, 9, 0, 0, 0)
+
+
+@pytest.mark.parametrize("order, invariants, fix, relations", [
+    (3, dict(r=0, m=11, k=0, n_points=0, g_C=0), {"n_points": 1},
+     ["subgroup[3]: an order-3 action always has a nonempty fixed locus"]),
+    (4, dict(WORKED_ORDER4, r=0, n1=8), {"n1": 6},
+     ["order4: first type needs n1 = 2h+4 (8 != 2*1+4)",
+      "order4: first type needs b = n1/2 (3 != 8/2)"]),
+])
+def test_constructors_name_a_broken_relation_before_a_structural_rule(
+        order, invariants, fix, relations):
+    # r = 0 leaves d[0] = 0, which validate refuses once the relation holds; a
+    # constructor raises its relations before it builds anything for validate
+    def violations(inv):
+        rendered, code = run_text(json.dumps({"order": order, "invariants": inv}))
+        assert code == EXIT_INVALID
+        return [line[len("  error: "):] for line in rendered.splitlines()
+                if line.startswith("  error: ")]
+
+    assert violations(invariants) == relations
+    assert violations(dict(invariants, **fix)) == [
+        "eigenspace_dims: invariant part d[0] must be at least 1"]
 
 
 def test_order4_constructor_nesting():
