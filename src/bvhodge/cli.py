@@ -215,13 +215,16 @@ def run(cfg: K3Config, doc: dict) -> dict:
     }
 
 
-#: what ``json.dumps(report, sort_keys=True)`` builds afresh on every call
-_JSON = json.JSONEncoder(sort_keys=True)
+#: what ``json.dumps(report, sort_keys=True)`` builds afresh on every call, without its
+#: search for reference cycles: a report has none, as :func:`run` builds it from parsed JSON
+_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def emit(report: dict, fmt: str = "text") -> str:
     """Render a report shaped as :func:`run` makes it: 'text' draws the diamond, and
-    'json' writes ``json.dumps(report, sort_keys=True)`` on one line."""
+    'json' writes ``json.dumps(report, sort_keys=True)`` on one line.  The JSON writer
+    does not look for reference cycles: a report that contains itself raises
+    ``RecursionError``."""
     if fmt == "json":
         return _JSON.encode(report) + "\n"
     if fmt != "text":

@@ -16,6 +16,7 @@ generator of their pointwise stabilizer, scaled to modulus n.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -335,34 +336,59 @@ _POINT_TYPE_6 = {"p25": (2, 5), "p34": (3, 4), "square": (4, 4)}
 
 def _int_args(where, *genera, **kwargs):
     """Refuse any of ``kwargs`` and ``genera`` (named ``genus[i]``) that is not a
-    nonnegative int; the names are built only for a failure."""
+    nonnegative int; the names are built only for a failure.
+
+    The type must be exactly ``int``, as in :func:`validate`: the record caches
+    below compare keys by value, so an ``IntEnum`` or a bool would otherwise
+    come back as the plain-int record an earlier call built.
+    """
     values = (*kwargs.values(), *genera)
     if {*map(type, values)} == {int} and min(values) >= 0:
         return
     kwargs.update({f"genus[{i}]": g for i, g in enumerate(genera)})
-    bad = [f"{k}={v}" for k, v in kwargs.items()
-           if isinstance(v, bool) or not isinstance(v, int) or v < 0]
+    bad = [f"{k}={v!r}" for k, v in kwargs.items() if type(v) is not int or v < 0]
     if bad:
         raise InvariantError([Violation(where, f"counts and genera must be nonnegative "
                                                f"integers: {', '.join(bad)}")])
 
 
+# A sweep of named documents rebuilds few distinct records (the benchmark's
+# catalog: 56 curve orbits, 31 point orbits, 48 eigenspace splits), so each
+# kind is built once per value and shared; the records are frozen, and
+# :func:`_int_args` lets only exact ints into the keys.
+
+
+@lru_cache(maxsize=256)
+def _curve(spec) -> CurveOrbit:
+    return CurveOrbit(*spec[1:], count=spec[0])
+
+
+@lru_cache(maxsize=256)
+def _point(spec) -> PointOrbit:
+    return PointOrbit(*spec[1:], count=spec[0])
+
+
+@lru_cache(maxsize=256)
+def _dims(n: int, dims: tuple[int, ...]) -> EigenspaceDims:
+    return EigenspaceDims(n, dims)
+
+
 def _curves(*specs) -> tuple[CurveOrbit, ...]:
     """Curve orbits of the (count, genus, orbit_size, residual_order, quotient_genus,
     char_dims) specs, trailing defaults left out; zero-count specs are dropped."""
-    return tuple([CurveOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0])
+    return tuple([_curve(s) for s in specs if s[0] > 0])
 
 
 def _points(*specs) -> tuple[PointOrbit, ...]:
     """Point orbits of the (count, type_exponents, orbit_size) specs, as :func:`_curves`."""
-    return tuple([PointOrbit(*s[1:], count=s[0]) for s in specs if s[0] > 0])
+    return tuple([_point(s) for s in specs if s[0] > 0])
 
 
 def from_invariants_order2(r: int, curve_genera) -> K3Config:
     """Order 2: invariant rank r and the genera of the fixed curves."""
     genera = tuple(curve_genera)
     _int_args("order2", *genera, r=r)
-    dims = EigenspaceDims(2, (r, K3_H2_DIM - r))
+    dims = _dims(2, (r, K3_H2_DIM - r))
     counts: dict[int, int] = {}
     for g in sorted(genera, reverse=True):  # the dict keeps the genera descending
         counts[g] = counts.get(g, 0) + 1
@@ -379,8 +405,6 @@ def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K
     """Order 3: k fixed curves (top genus g_C) and n isolated fixed points."""
     _int_args("order3", r=r, m=m, k=k, n_points=n_points, g_C=g_C)
     v: list[Violation] = []
-    if r + 2 * m != K3_H2_DIM:
-        v.append(Violation("order3", f"need r + 2m = {K3_H2_DIM}, got {r} + 2*{m}"))
     if k == 0 and g_C > 0:
         v.append(Violation("order3", "a positive top genus needs at least one curve"))
     if k + n_points == 0:
@@ -389,7 +413,7 @@ def from_invariants_order3(r: int, m: int, k: int, n_points: int, g_C: int) -> K
     curves = _curves((1 if k else 0, g_C), (max(k - 1, 0), 0))
     points = _points((n_points, _POINT_TYPE[3]))
     cfg = K3Config(
-        3, EigenspaceDims(3, (r, m, m)), (SubgroupFixedRecord(3, curves, points),),
+        3, _dims(3, (r, m, m)), (SubgroupFixedRecord(3, curves, points),),
         invariants={"r": r, "m": m, "k": k, "n_points": n_points, "g_C": g_C},
     )
     _raise_on(validate(cfg))
@@ -450,7 +474,7 @@ def from_invariants_order4(r: int, m: int, k: int, a: int, b: int, n1: int, n2: 
     rec4 = SubgroupFixedRecord(4, fixed_curves, _points((n1 + n2, _POINT_TYPE[4])))
     rec2 = SubgroupFixedRecord(2, fixed_curves + inv_curves + _curves((a, 0, 2)))
     cfg = K3Config(
-        4, EigenspaceDims(4, (r, m, d2, m)), (rec4, rec2),
+        4, _dims(4, (r, m, d2, m)), (rec4, rec2),
         invariants={"r": r, "m": m, "k": k, "a": a, "b": b, "n1": n1, "n2": n2,
                     "g_D": g_D, "D_type": D_type},
     )
@@ -475,8 +499,6 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
               g_F1=g_F1, g_F1_quot=g_F1_quot, g_F2=g_F2, g_F2_quot=g_F2_quot)
     v: list[Violation] = []
     where = "order6"
-    if r + 5 * m != K3_H2_DIM:
-        v.append(Violation(where, f"need r + 5m = {K3_H2_DIM}, got {r} + 5*{m}"))
     if g_D not in (0, 1):
         v.append(Violation(where, f"g(D) must be 0 or 1, got {g_D}"))
     c2 = k - l - 2 * b
@@ -531,7 +553,7 @@ def from_invariants_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: in
     )
     rec2 = SubgroupFixedRecord(2, fixed + ro3 + _curves((a, 0, 3)))
     cfg = K3Config(
-        6, EigenspaceDims(6, (r, m, m, m, m, m)), (rec6, rec3, rec2),
+        6, _dims(6, (r, m, m, m, m, m)), (rec6, rec3, rec2),
         invariants={"r": r, "m": m, "l": l, "k": k, "N": N, "a": a, "b": b,
                     "n_prime": n_prime, "p25": p25, "p34": p34, "g_D": g_D,
                     "g_G": g_G, "g_G_quot": g_G_quot, "g_F1": g_F1,

@@ -1,6 +1,7 @@
 """In-process time per stage of ``bvhodge.cli.run_text``, per benchmark workload.
 
     PYTHONPATH=src python tests/stage_times.py [REPEATS]
+    PYTHONPATH=src python tests/stage_times.py --count WORKLOAD   # one count row, as JSON
 
 The script loads ``bench/workloads.py`` by path, without changing it, and
 builds seed 1 of each of its workloads.  It splits ``run_text`` into its
@@ -13,22 +14,29 @@ stages and feeds each stage the inputs that the documents bring to it:
 
 A stage's figure is the best of REPEATS (default 7) loops over its inputs,
 divided by the number of documents in the workload: microseconds per
-document.  ``run_text`` is timed whole in the same way.  Pytest does not
-collect this file; it is a measuring tool, like ``bench_digests.py``.
+document.  ``run_text`` is timed whole in the same way.
+
+A second table counts the fixed-locus records that one pass of each workload
+builds: ``run_text`` once per document, in a fresh interpreter, so that the
+constructors' record caches start empty.  Pytest does not collect this file;
+it is a measuring tool, like ``bench_digests.py``.
 """
 
 from __future__ import annotations
 
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter_ns
 
-from bvhodge import cli
+from bvhodge import cli, fixed_locus
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 SEED = 1
+#: the fixed-locus record classes whose constructions the second table counts
+COUNTED = ("CurveOrbit", "PointOrbit", "SubgroupFixedRecord", "EigenspaceDims")
 
 
 def _best_us(fn, inputs, repeats: int, per: int) -> float:
@@ -74,7 +82,38 @@ def _stage_inputs(docs) -> dict:
             "run_text": (cli.run_text, [(d.text, d.fmt) for d in docs])}
 
 
+def _count_records(docs) -> list[int]:
+    """Constructions of each class in ``COUNTED`` while ``run_text`` handles ``docs`` once."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        cls = getattr(fixed_locus, name)
+
+        def counting(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        cls.__init__ = counting
+    for d in docs:
+        try:
+            cli.run_text(d.text, d.fmt)
+        except (ValueError, RecursionError):
+            pass
+    return list(counts.values())
+
+
+def _fresh_counts(workload: str) -> list[int]:
+    """:func:`_count_records` of one seed-1 pass of ``workload``, in a fresh interpreter."""
+    done = subprocess.run([sys.executable, __file__, "--count", workload],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def main(argv) -> int:
+    if argv[1:2] == ["--count"]:
+        workloads = runpy.run_path(str(WORKLOADS))
+        docs = workloads["WORKLOADS"][argv[2]](SEED, workloads["catalog_tuples"]())
+        print(json.dumps(_count_records(docs)))
+        return 0
     repeats = int(argv[1]) if len(argv) > 1 else 7
     workloads = runpy.run_path(str(WORKLOADS))
     tuples = workloads["catalog_tuples"]()
@@ -86,6 +125,10 @@ def main(argv) -> int:
         inputs = _stage_inputs(docs)
         cells = " ".join(f"{_best_us(*inputs[s], repeats, len(docs)):>12.1f}" for s in stages)
         print(f"{name:<10} {len(docs):>5} {cells}")
+    print(f"\nrecords built in one pass, fresh process, seed {SEED}")
+    print(f"{'workload':<10} " + " ".join(f"{c:>19}" for c in COUNTED))
+    for name in built:
+        print(f"{name:<10} " + " ".join(f"{c:>19,}" for c in _fresh_counts(name)))
     return 0
 
 

@@ -153,7 +153,7 @@ def test_order6_closed_form_rules_exit_2_through_the_constructor():
     base = dict.fromkeys(("l", "k", "N", "a", "b", "n_prime", "p25", "p34", "g_D", "g_G",
                           "g_G_quot", "g_F1", "g_F1_quot", "g_F2", "g_F2_quot"), 0)
     base.update(r=2, m=4)
-    for change, message in (({"r": 3}, "need r + 5m = 22"),
+    for change, message in (({"r": 3}, "eigenspace dims must sum to 22"),
                             ({"g_D": 2}, "g(D) must be 0 or 1"),
                             ({"l": 1, "k": 1, "N": 1, "g_D": 1}, "g(D) = 1 forces D = G = F1")):
         doc = {"order": 6, "invariants": {**base, **change}}
@@ -169,7 +169,7 @@ def test_closed_form_rules_of_orders_2_3_4_exit_through_the_parser_or_the_constr
     for order, invariants, message in (
             (2, {"r": 0, "curve_genera": []}, "d[0] must be at least 1"),
             (2, {"r": 22, "curve_genera": []}, "d[1] must be at least 2"),
-            (3, {"r": 4, "m": 8, "k": 1, "n_points": 1, "g_C": 0}, "need r + 2m = 22"),
+            (3, {"r": 4, "m": 8, "k": 1, "n_points": 1, "g_C": 0}, "eigenspace dims must sum to 22"),
             (4, order4, "n2 must be even"),
             (4, dict(order4, r=11, m=3, k=2, a=1, b=3, n1=8, n2=0, D_type="first"),
              "first type needs n1 = 2h+4")):

@@ -84,7 +84,7 @@ def test_order3_point_coefficient():
 
 
 def test_order3_rejects_bad_ranks():
-    with pytest.raises(InvariantError, match="need r \\+ 2m = 22"):
+    with pytest.raises(InvariantError, match="eigenspace dims must sum to 22"):
         from_invariants_order3(4, 8, 1, 1, 0)
 
 

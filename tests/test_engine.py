@@ -554,6 +554,29 @@ def test_pairsum_order6_coefficients():
     assert euler_characteristic(diamond) == 60
 
 
+def test_pairsum_weights_are_multiples_of_the_order():
+    # orbifold_euler_pairsum divides the weighted sum by n without a remainder check
+    for n, classes in engine._PAIR_CLASSES.items():
+        assert all(weight % n == 0 for _, weight in classes), n
+
+
+def test_pairsum_is_even_for_every_valid_configuration():
+    # crosscheck halves the pair sum in cy_relation without a parity check.  A curve
+    # orbit adds an even 2 - 2g per member to a fixed-set Euler number, so only the
+    # isolated points of a class with odd weight / n can make the sum odd: the square
+    # of an order-4 action, whose fixed locus validate never lets hold a point
+    odd = [(n, c) for n, classes in engine._PAIR_CLASSES.items()
+           for c, weight in classes if weight // n % 2]
+    assert odd == [(4, 2)]
+    for t1 in range(4):
+        for t2 in range(4):
+            for size in (1, 2):
+                point = PointOrbit((t1, t2), orbit_size=size)
+                cfg = K3Config(4, EigenspaceDims(4, (6, 5, 6, 5)),
+                               (SubgroupFixedRecord(2, points=(point,)),))
+                assert [v.where for v in validate(cfg)] == ["subgroup[2].points[0]"], point
+
+
 # --- crosscheck --------------------------------------------------------------------
 
 def test_crosscheck_worked_order4_all_pass():

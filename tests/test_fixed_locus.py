@@ -2,6 +2,9 @@
 
 import json
 import re
+import sys
+import threading
+from enum import IntEnum
 from math import gcd
 
 import pytest
@@ -21,7 +24,7 @@ from bvhodge import (
     from_invariants_order6,
     validate,
 )
-from bvhodge import cli
+from bvhodge import cli, fixed_locus
 from bvhodge.cli import EXIT_INVALID, run_text
 from bvhodge.engine import _SECTOR_WEIGHTS
 from bvhodge.fixed_locus import (
@@ -40,6 +43,8 @@ def curves_in(record):
 
 
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")
+CONSTRUCTORS = {2: from_invariants_order2, 3: from_invariants_order3,
+                4: from_invariants_order4, 6: from_invariants_order6}
 
 
 # --- elliptic orbits ---------------------------------------------------------
@@ -426,17 +431,97 @@ def test_constructors_name_every_negative_or_bool_invariant(tmp_path, capsys):
     # the early argument check is the only one that sees them: _curves and _points drop
     # a spec whose count is not positive, so a count of -1 would vanish from the records
     assert len(BAD_INVARIANTS) == 2 * (4 + 5 + 8 + 17)  # every integer; D_type is a string
-    constructors = {2: from_invariants_order2, 3: from_invariants_order3,
-                    4: from_invariants_order4, 6: from_invariants_order6}
     doc = tmp_path / "doc.json"
     for n, invariants, named in BAD_INVARIANTS:
         with pytest.raises(InvariantError, match=re.escape(named)):
-            constructors[n](**invariants)
+            CONSTRUCTORS[n](**invariants)
         if "True" in named:  # a JSON boolean is a schema error, exit 1, before any constructor
             continue
         doc.write_text(json.dumps({"order": n, "invariants": invariants}), encoding="utf-8")
         assert cli.main(["--input", str(doc)]) == EXIT_INVALID, named
         assert named in capsys.readouterr().out
+
+
+# --- the constructors share equal frozen records ------------------------------------
+
+RECORD_CACHES = (fixed_locus._curve, fixed_locus._point, fixed_locus._dims)
+
+
+def test_constructors_build_each_distinct_record_once(monkeypatch):
+    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 100)]
+    built = {cls: [] for cls in (CurveOrbit, PointOrbit, EigenspaceDims)}
+    for cls, records in built.items():
+        def counting(self, *args, _init=cls.__init__, _records=records, **kwargs):
+            _init(self, *args, **kwargs)
+            _records.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for cache in RECORD_CACHES:
+        cache.cache_clear()
+    for n, inv in invariants:
+        CONSTRUCTORS[n](**inv)
+    for cls, records in built.items():
+        assert 10 < len(records) == len(set(records)), cls.__name__
+
+
+def test_threads_sharing_the_record_caches_build_equal_configurations():
+    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 25, seed=33)]
+    expected = [CONSTRUCTORS[n](**inv) for n, inv in invariants]
+    results = {}
+
+    def build(worker):
+        results[worker] = [CONSTRUCTORS[n](**inv) for n, inv in invariants]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            for cache in RECORD_CACHES:
+                cache.cache_clear()
+            threads = [threading.Thread(target=build, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(results.pop(w) == expected for w in range(6))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_record_caches_are_bounded():
+    for cache in RECORD_CACHES:
+        assert type(cache.cache_parameters()["maxsize"]) is int
+
+
+def _enum_invariants():
+    """(order, invariants with one integer made an equal IntEnum member, the plain ones)."""
+    for n in SUPPORTED_ORDERS:
+        base = samples(n, 1, seed=32)[0].invariants
+        for key, value in base.items():
+            if key == "curve_genera":
+                for i, g in enumerate(value):
+                    genera = value[:i] + [IntEnum("Invariant", [("V", g)]).V] + value[i + 1:]
+                    yield n, dict(base, curve_genera=genera), base
+            elif key != "D_type":
+                yield n, dict(base, **{key: IntEnum("Invariant", [("V", value)]).V}), base
+
+
+@pytest.mark.parametrize("order, invariants, plain", list(_enum_invariants()))
+def test_constructors_refuse_an_int_subclass_whatever_the_caches_hold(order, invariants, plain):
+    # equal keys share one cached record, so an IntEnum must be refused before any cache
+    # can hand it the plain-int record an earlier call built
+    def refusal():
+        with pytest.raises(InvariantError) as refused:
+            CONSTRUCTORS[order](**invariants)
+        return refused.value.violations
+
+    for cache in RECORD_CACHES:
+        cache.cache_clear()
+    cold = refusal()
+    assert CONSTRUCTORS[order](**plain).invariants == plain
+    assert refusal() == cold
+    assert "counts and genera must be nonnegative integers" in cold[0].message
 
 
 # --- the records each constructor builds recount to its invariants ----------------
