@@ -13,13 +13,13 @@ import sys
 
 from .engine import crosscheck
 from .fixed_locus import (
-    CurveOrbit,
-    EigenspaceDims,
     InvariantError,
     K3Config,
-    PointOrbit,
     SUPPORTED_ORDERS,
     SubgroupFixedRecord,
+    _curve,
+    _dims,
+    _point,
     from_invariants_order2,
     from_invariants_order3,
     from_invariants_order4,
@@ -63,17 +63,9 @@ _CURVE_FIELDS = frozenset(("orbit_size", "genus", "residual_order", "quotient_ge
 _POINT_FIELDS = frozenset(("orbit_size", "type", "count"))
 
 
-def _at(path, key="") -> str:
-    """``path`` and ``key`` joined: ``key`` is a suffix such as ".genus" or a list index,
-    and ``path`` a string or a (path, key) pair, so only an error message joins a path."""
-    if type(path) is tuple:
-        path = _at(*path)
-    return f"{path}[{key}]" if type(key) is int else path + key
-
-
-def _need(doc: dict, key: str, path):
+def _need(doc: dict, key: str, path: str):
     if key not in doc:
-        raise SchemaError(f"{_at(path)}.{key}: missing required field")
+        raise SchemaError(f"{path}.{key}: missing required field")
     return doc[key]
 
 
@@ -82,78 +74,111 @@ def _need(doc: dict, key: str, path):
 _INT_BOUND = 10 ** 1000
 
 
-def _as_int(value, path, key="") -> int:
-    """``value`` as an integer field; an error names the field ``(path, key)``."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise SchemaError(f"{_at(path, key)}: expected an integer, got {value!r}")
-    if not -_INT_BOUND < value < _INT_BOUND:
-        raise SchemaError(f"{_at(path, key)}: integer field too long")
-    return value
+def _as_int(value, path: str, key="") -> int:
+    """``value`` as an exact ``int``; an error names the field, ``path`` joined to ``key``."""
+    if type(value) is int and -_INT_BOUND < value < _INT_BOUND:
+        return value
+    where = f"{path}[{key}]" if type(key) is int else path + key
+    if type(value) is not int:
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    raise SchemaError(f"{where}: integer field too long")
 
 
-def _as_list(value, path, key="") -> list:
+def _as_list(value, path: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{_at(path, key)}: expected a list")
+        raise SchemaError(f"{path}: expected a list")
     return value
 
 
-def _as_object(value, allowed: frozenset, path, key="") -> dict:
+def _as_object(value, allowed: frozenset, path: str) -> dict:
     """``value`` as an object with no field outside ``allowed``."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{_at(path, key)}: expected an object")
+        raise SchemaError(f"{path}: expected an object")
     if not value.keys() <= allowed:
-        raise SchemaError(f"{_at(path, key)}: unknown fields {sorted(value.keys() - allowed)}")
+        raise SchemaError(f"{path}: unknown fields {sorted(value.keys() - allowed)}")
     return value
 
 
-def _given_ints(doc: dict, names: tuple, here) -> dict:
-    """The integer fields ``names`` in ``doc``, in order: the record defaults the rest."""
-    given = {}
-    for name in names:  # a plain loop: a comprehension costs a frame per call
-        if name in doc and (doc[name] is not None or name != "quotient_genus"):
-            given[name] = _as_int(doc[name], here, "." + name)
-    return given
+def _parse_raw(order: int, doc) -> K3Config:
+    """A raw document's configuration, read in one pass that builds its records through
+    the factories the named constructors share; a null ``quotient_genus`` or ``char_dims``
+    is absent.  At the first object with a fault (an unknown field, a value of the wrong
+    kind, an integer :func:`_as_int` refuses), :func:`_raw_fault` raises instead."""
+    lo, hi = -_INT_BOUND, _INT_BOUND
+    if not (isinstance(doc, dict) and doc.keys() <= _RAW_FIELDS):
+        return _raw_fault(order, doc)
+    dims, subs = doc.get("eigenspace_dims"), doc.get("subgroups", [])
+    if not (isinstance(dims, list) and len(dims) == order and isinstance(subs, list)
+            and {*map(type, dims)} == {int} and lo < min(dims) and max(dims) < hi):
+        return _raw_fault(order, doc)
+    records = []
+    for sub in subs:
+        if not (isinstance(sub, dict) and sub.keys() <= _SUBGROUP_FIELDS):
+            return _raw_fault(order, doc)
+        d, curves, points = sub.get("order"), sub.get("curves", []), sub.get("points", [])
+        if not (type(d) is int and lo < d < hi and isinstance(curves, list)
+                and isinstance(points, list)):
+            return _raw_fault(order, doc)
+        built = []
+        for c in curves:
+            if not (isinstance(c, dict) and c.keys() <= _CURVE_FIELDS):
+                return _raw_fault(order, doc)
+            g, size, rho, gq, count, split = (
+                c.get("genus"), c.get("orbit_size", 1), c.get("residual_order", 1),
+                c.get("quotient_genus"), c.get("count", 1), c.get("char_dims"))
+            if gq is None and rho == 1:
+                gq = g  # the record's own default, so that equal records share one key
+            if not (type(g) is type(size) is type(rho) is type(count) is int
+                    and lo < g < hi and lo < size < hi and lo < rho < hi and lo < count < hi
+                    and (gq is None or type(gq) is int and lo < gq < hi)
+                    and (split is None or isinstance(split, list)
+                         and all(type(v) is int and lo < v < hi for v in split))):
+                return _raw_fault(order, doc)
+            built.append(_curve((count, g, size, rho, gq,
+                                 None if split is None else tuple(split))))
+        found = []
+        for p in points:
+            if not (isinstance(p, dict) and p.keys() <= _POINT_FIELDS):
+                return _raw_fault(order, doc)
+            ty, size, count = p.get("type"), p.get("orbit_size", 1), p.get("count", 1)
+            if not (isinstance(ty, list) and len(ty) == 2
+                    and type(ty[0]) is type(ty[1]) is type(size) is type(count) is int
+                    and lo < ty[0] < hi and lo < ty[1] < hi and lo < size < hi
+                    and lo < count < hi):
+                return _raw_fault(order, doc)
+            found.append(_point((count, (ty[0], ty[1]), size)))
+        records.append(SubgroupFixedRecord(d, built, found))
+    return K3Config(order, _dims(order, tuple(dims)), records)
 
 
-def _parse_curve(doc: dict, path, key) -> CurveOrbit:
-    _as_object(doc, _CURVE_FIELDS, path, key)
-    here = path, key
-    char_dims = doc.get("char_dims")
-    if char_dims is not None:
-        char_dims = tuple(_as_int(v, (here, ".char_dims"), i)
-                          for i, v in enumerate(_as_list(char_dims, here, ".char_dims")))
-    genus = _as_int(_need(doc, "genus", here), here, ".genus")
-    return CurveOrbit(genus, char_dims=char_dims, **_given_ints(
-        doc, ("orbit_size", "residual_order", "quotient_genus", "count"), here))
-
-
-def _parse_point(doc: dict, path, key) -> PointOrbit:
-    _as_object(doc, _POINT_FIELDS, path, key)
-    here = path, key
-    ty = _need(doc, "type", here)
-    if not isinstance(ty, list) or len(ty) != 2:
-        raise SchemaError(f"{_at(here)}.type: expected a pair of exponents")
-    return PointOrbit((_as_int(ty[0], here, ".type[0]"), _as_int(ty[1], here, ".type[1]")),
-                      **_given_ints(doc, ("orbit_size", "count"), here))
-
-
-def _parse_raw(order: int, doc: dict) -> K3Config:
+def _raw_fault(order: int, doc) -> None:
+    """Raise, naming its field, the first fault of a raw document :func:`_parse_raw` refuses."""
     _as_object(doc, _RAW_FIELDS, "raw")
     dims = _as_list(_need(doc, "eigenspace_dims", "raw"), "raw.eigenspace_dims")
-    dims = tuple(_as_int(v, "raw.eigenspace_dims", i) for i, v in enumerate(dims))
+    for i, v in enumerate(dims):
+        _as_int(v, "raw.eigenspace_dims", i)
     if len(dims) != order:
         raise SchemaError(f"raw.eigenspace_dims: expected {order} entries, got {len(dims)}")
-    records = []
     for i, sub in enumerate(_as_list(doc.get("subgroups", []), "raw.subgroups")):
-        _as_object(sub, _SUBGROUP_FIELDS, "raw.subgroups", i)
-        here = "raw.subgroups", i
-        d = _as_int(_need(sub, "order", here), here, ".order")
-        curves = tuple(_parse_curve(c, (here, ".curves"), ci) for ci, c in
-                       enumerate(_as_list(sub.get("curves", []), here, ".curves")))
-        points = tuple(_parse_point(p, (here, ".points"), pi) for pi, p in
-                       enumerate(_as_list(sub.get("points", []), here, ".points")))
-        records.append(SubgroupFixedRecord(d, curves, points))
-    return K3Config(order, EigenspaceDims(order, dims), records)
+        here = f"raw.subgroups[{i}]"
+        _as_int(_need(_as_object(sub, _SUBGROUP_FIELDS, here), "order", here), here, ".order")
+        for j, c in enumerate(_as_list(sub.get("curves", []), here + ".curves")):
+            at = f"{here}.curves[{j}]"
+            if _as_object(c, _CURVE_FIELDS, at).get("char_dims") is not None:
+                for k, v in enumerate(_as_list(c["char_dims"], at + ".char_dims")):
+                    _as_int(v, at + ".char_dims", k)
+            _as_int(_need(c, "genus", at), at, ".genus")
+            for name in ("orbit_size", "residual_order", "quotient_genus", "count"):
+                if name in c and (c[name] is not None or name != "quotient_genus"):
+                    _as_int(c[name], at, "." + name)
+        for j, p in enumerate(_as_list(sub.get("points", []), here + ".points")):
+            at = f"{here}.points[{j}]"
+            ty = _need(_as_object(p, _POINT_FIELDS, at), "type", at)
+            if not isinstance(ty, list) or len(ty) != 2:
+                raise SchemaError(f"{at}.type: expected a pair of exponents")
+            for name, v in (("type[0]", ty[0]), ("type[1]", ty[1]),  # an absent field is 1
+                            ("orbit_size", p.get("orbit_size", 1)), ("count", p.get("count", 1))):
+                _as_int(v, at, "." + name)
 
 
 def parse_config(doc: dict) -> K3Config:

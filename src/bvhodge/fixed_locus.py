@@ -352,10 +352,10 @@ def _int_args(where, *genera, **kwargs):
                                                f"integers: {', '.join(bad)}")])
 
 
-# A sweep of named documents rebuilds few distinct records (the benchmark's
-# catalog: 56 curve orbits, 31 point orbits, 48 eigenspace splits), so each
-# kind is built once per value and shared; the records are frozen, and
-# :func:`_int_args` lets only exact ints into the keys.
+# A sweep of documents rebuilds few distinct records (the benchmark's catalog:
+# 56 curve orbits, 31 point orbits, 48 eigenspace splits), so the constructors
+# and the raw reader of :mod:`cli` build each once per value and share it; the
+# records are frozen, and both let only exact ints into the keys.
 
 
 @lru_cache(maxsize=256)

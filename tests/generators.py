@@ -190,6 +190,19 @@ def _sample_order6(rng: Random, corollary_safe: bool = False) -> Sample:
     raise RuntimeError("order-6 sampler failed to produce a consistent tuple")
 
 
+def raw_form(cfg: K3Config) -> dict:
+    """The raw document of a configuration, every optional field written out."""
+    return {"eigenspace_dims": list(cfg.eigenspace.dims), "subgroups": [
+        {"order": rec.subgroup_order,
+         "curves": [{"genus": c.genus, "orbit_size": c.orbit_size,
+                     "residual_order": c.residual_order, "quotient_genus": c.quotient_genus,
+                     "char_dims": None if c.char_dims is None else list(c.char_dims),
+                     "count": c.count} for c in rec.curves],
+         "points": [{"type": list(p.type_exponents), "orbit_size": p.orbit_size,
+                     "count": p.count} for p in rec.points]}
+        for rec in cfg.records]}
+
+
 _SAMPLERS = {2: _sample_order2, 3: _sample_order3, 4: _sample_order4, 6: _sample_order6}
 
 

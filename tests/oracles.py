@@ -8,15 +8,22 @@ product, the character split of a curve, and the sector components one
 by one, whose entries the engine sums straight into each sector's table.
 They also build the Kuenneth oracle's inputs (single characters, orbit
 characters and grids of character vectors) and the local actions whose
-ages :func:`bvhodge.cyclic.age` computes.
+ages :func:`bvhodge.cyclic.age` computes, and read a raw document field by
+field, the reference for the parser's one-pass read.
 """
 
 from math import gcd
 from operator import mul
 
-from bvhodge import engine
+from bvhodge import cli, engine
 from bvhodge.closed_forms import HodgePair
-from bvhodge.fixed_locus import CurveOrbit
+from bvhodge.fixed_locus import (
+    CurveOrbit,
+    EigenspaceDims,
+    K3Config,
+    PointOrbit,
+    SubgroupFixedRecord,
+)
 from bvhodge.hodge import CharacterVector, Grid, HodgeDiamond
 from bvhodge.record import Record, setfield
 
@@ -244,3 +251,57 @@ def eager_sector_components(cfg, j):
         h0 = point.count * weights[d, point.orbit_size][0]
         components.append(SectorComponent("point", point, exponents, a, ((a, a, h0),)))
     return tuple(components)
+
+
+def _given_ints(doc: dict, names: tuple, here: str) -> dict:
+    """The integer fields ``names`` in ``doc``, in order: the record defaults the rest."""
+    return {name: cli._as_int(doc[name], here, "." + name) for name in names
+            if name in doc and (doc[name] is not None or name != "quotient_genus")}
+
+
+def _read_curve(doc, here: str) -> CurveOrbit:
+    cli._as_object(doc, cli._CURVE_FIELDS, here)
+    char_dims = doc.get("char_dims")
+    if char_dims is not None:
+        char_dims = tuple(cli._as_int(v, here + ".char_dims", i)
+                          for i, v in enumerate(cli._as_list(char_dims, here + ".char_dims")))
+    genus = cli._as_int(cli._need(doc, "genus", here), here, ".genus")
+    return CurveOrbit(genus, char_dims=char_dims, **_given_ints(
+        doc, ("orbit_size", "residual_order", "quotient_genus", "count"), here))
+
+
+def _read_point(doc, here: str) -> PointOrbit:
+    cli._as_object(doc, cli._POINT_FIELDS, here)
+    ty = cli._need(doc, "type", here)
+    if not isinstance(ty, list) or len(ty) != 2:
+        raise cli.SchemaError(f"{here}.type: expected a pair of exponents")
+    return PointOrbit((cli._as_int(ty[0], here, ".type[0]"),
+                       cli._as_int(ty[1], here, ".type[1]")),
+                      **_given_ints(doc, ("orbit_size", "count"), here))
+
+
+def read_raw_fieldwise(order: int, doc) -> K3Config:
+    """The configuration of the ``raw`` object of a document of order ``order``, read
+    field by field in document order: each record is built as soon as its fields are
+    read, and the first fault raises :class:`bvhodge.cli.SchemaError` naming its field.
+
+    The reference for :func:`bvhodge.cli.parse_config`, which reads a raw document in
+    one pass through the shared record factories and walks the fields only to name a
+    fault: for every raw document both give equal configurations or the same message.
+    """
+    cli._as_object(doc, cli._RAW_FIELDS, "raw")
+    dims = cli._as_list(cli._need(doc, "eigenspace_dims", "raw"), "raw.eigenspace_dims")
+    dims = tuple(cli._as_int(v, "raw.eigenspace_dims", i) for i, v in enumerate(dims))
+    if len(dims) != order:
+        raise cli.SchemaError(f"raw.eigenspace_dims: expected {order} entries, got {len(dims)}")
+    records = []
+    for i, sub in enumerate(cli._as_list(doc.get("subgroups", []), "raw.subgroups")):
+        here = f"raw.subgroups[{i}]"
+        cli._as_object(sub, cli._SUBGROUP_FIELDS, here)
+        d = cli._as_int(cli._need(sub, "order", here), here, ".order")
+        curves = tuple(_read_curve(c, f"{here}.curves[{j}]") for j, c in
+                       enumerate(cli._as_list(sub.get("curves", []), here + ".curves")))
+        points = tuple(_read_point(p, f"{here}.points[{j}]") for j, p in
+                       enumerate(cli._as_list(sub.get("points", []), here + ".points")))
+        records.append(SubgroupFixedRecord(d, curves, points))
+    return K3Config(order, EigenspaceDims(order, dims), records)

@@ -14,12 +14,16 @@ stages and feeds each stage the inputs that the documents bring to it:
 
 A stage's figure is the best of REPEATS (default 7) loops over its inputs,
 divided by the number of documents in the workload: microseconds per
-document.  ``run_text`` is timed whole in the same way.
+document.  ``run_text`` is timed whole in the same way.  A workload of
+several kinds of document (``rejects``: nested, malformed, schema,
+invalid-named and invalid-raw) also gets one row per kind, timed over that
+kind's documents alone.
 
 A second table counts the fixed-locus records that one pass of each workload
-builds: ``run_text`` once per document, in a fresh interpreter, so that the
-constructors' record caches start empty.  Pytest does not collect this file;
-it is a measuring tool, like ``bench_digests.py``.
+builds, and the raw documents whose fault the field-wise walk
+(``cli._raw_fault``) names: ``run_text`` once per document, in a fresh
+interpreter, so that the record caches start empty.  Pytest does not collect
+this file; it is a measuring tool, like ``bench_digests.py``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 SEED = 1
 #: the fixed-locus record classes whose constructions the second table counts
 COUNTED = ("CurveOrbit", "PointOrbit", "SubgroupFixedRecord", "EigenspaceDims")
+#: the column that counts the raw documents the field-wise walk reads to name a fault
+WALK = "_raw_fault"
 
 
 def _best_us(fn, inputs, repeats: int, per: int) -> float:
@@ -83,8 +89,9 @@ def _stage_inputs(docs) -> dict:
 
 
 def _count_records(docs) -> list[int]:
-    """Constructions of each class in ``COUNTED`` while ``run_text`` handles ``docs`` once."""
-    counts = dict.fromkeys(COUNTED, 0)
+    """Constructions of each class in ``COUNTED``, then calls of the field-wise walk,
+    while ``run_text`` handles ``docs`` once."""
+    counts = dict.fromkeys(COUNTED + (WALK,), 0)
     for name in COUNTED:
         cls = getattr(fixed_locus, name)
 
@@ -93,6 +100,12 @@ def _count_records(docs) -> list[int]:
             _init(self, *args, **kwargs)
 
         cls.__init__ = counting
+
+    def walking(*args, _walk=cli._raw_fault):
+        counts[WALK] += 1
+        return _walk(*args)
+
+    cli._raw_fault = walking
     for d in docs:
         try:
             cli.run_text(d.text, d.fmt)
@@ -120,13 +133,19 @@ def main(argv) -> int:
     built = {name: build(SEED, tuples) for name, build in workloads["WORKLOADS"].items()}
     stages = ("json.loads", "parse_config", "run", "emit", "run_text")
     print(f"µs per document, best of {repeats}, seed {SEED}")
-    print(f"{'workload':<10} {'docs':>5} " + " ".join(f"{s:>12}" for s in stages))
+    print(f"{'workload':<16} {'docs':>5} " + " ".join(f"{s:>12}" for s in stages))
     for name, docs in built.items():
-        inputs = _stage_inputs(docs)
-        cells = " ".join(f"{_best_us(*inputs[s], repeats, len(docs)):>12.1f}" for s in stages)
-        print(f"{name:<10} {len(docs):>5} {cells}")
+        kinds = sorted({d.kind for d in docs})
+        rows = [(name, docs)]
+        if len(kinds) > 1:
+            rows += [(f"  {k}", [d for d in docs if d.kind == k]) for k in kinds]
+        for label, some in rows:
+            inputs = _stage_inputs(some)
+            cells = " ".join(f"{_best_us(*inputs[s], repeats, len(some)):>12.1f}"
+                             for s in stages)
+            print(f"{label:<16} {len(some):>5} {cells}")
     print(f"\nrecords built in one pass, fresh process, seed {SEED}")
-    print(f"{'workload':<10} " + " ".join(f"{c:>19}" for c in COUNTED))
+    print(f"{'workload':<10} " + " ".join(f"{c:>19}" for c in COUNTED + (WALK,)))
     for name in built:
         print(f"{name:<10} " + " ".join(f"{c:>19,}" for c in _fresh_counts(name)))
     return 0

@@ -35,7 +35,7 @@ from bvhodge.cyclic import age
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic, kunneth_character_product
-from generators import samples
+from generators import raw_form, samples
 from oracles import (
     LocalAction,
     curve_character_dims,
@@ -44,7 +44,6 @@ from oracles import (
     power_transport,
     table_of,
 )
-from test_fuzz import raw_form
 from test_hodge_algebra import e_table, k3_table
 
 WORKED_ORDER4 = dict(r=11, m=3, k=2, a=1, b=3, n1=6, n2=0, g_D=1, D_type="first")

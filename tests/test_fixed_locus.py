@@ -33,7 +33,7 @@ from bvhodge.fixed_locus import (
     euler_fixed_set,
 )
 from bvhodge.hodge import CharacterVector
-from generators import samples
+from generators import raw_form, samples
 from oracles import curve_character_dims, delta, orbit
 
 
@@ -358,15 +358,55 @@ def test_constructors_name_a_broken_relation_before_a_structural_rule(
         order, invariants, fix, relations):
     # r = 0 leaves d[0] = 0, which validate refuses once the relation holds; a
     # constructor raises its relations before it builds anything for validate
-    def violations(inv):
-        rendered, code = run_text(json.dumps({"order": order, "invariants": inv}))
-        assert code == EXIT_INVALID
-        return [line[len("  error: "):] for line in rendered.splitlines()
-                if line.startswith("  error: ")]
-
-    assert violations(invariants) == relations
-    assert violations(dict(invariants, **fix)) == [
+    assert _violations(order, invariants) == relations
+    assert _violations(order, dict(invariants, **fix)) == [
         "eigenspace_dims: invariant part d[0] must be at least 1"]
+
+
+def _violations(order, invariants) -> list[str]:
+    """The violations ``run_text`` lists for a named document that must exit 2."""
+    rendered, code = run_text(json.dumps({"order": order, "invariants": invariants}))
+    assert code == EXIT_INVALID
+    return [line[len("  error: "):] for line in rendered.splitlines()
+            if line.startswith("  error: ")]
+
+
+def _fixture_invariants(name):
+    return json.loads(cli.load_fixture_text(name))["invariants"]
+
+
+ORDER4_SECOND = dict(r=7, m=5, k=0, a=0, b=3, n1=4, n2=0, g_D=1, D_type="second")
+ORDER6_F1 = dict(r=2, m=4, l=0, k=1, N=1, a=0, b=0, n_prime=0, p25=0, p34=0, g_D=0,
+                 g_G=1, g_G_quot=1, g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
+ORDER6_ELLIPTIC = _fixture_invariants("order6_elliptic_top_curve")
+
+
+@pytest.mark.parametrize("order, base, change, relations", [
+    (3, _fixture_invariants("order3_curve_and_point"), {"k": 0},
+     ["order3: a positive top genus needs at least one curve"]),
+    (4, _fixture_invariants("order4_first_type"), {"n1": 4, "n2": 2},
+     ["order4: first type forces n2 = 0"]),
+    (4, ORDER4_SECOND, {"b": 0},
+     ["order4: second type needs at least one invariant curve",
+      "order4: second type needs b = n1/2 + 1 (0 != (4 - 0)/2 + 1)"]),
+    (4, ORDER4_SECOND, {"n1": 2, "n2": 2, "b": 2},
+     ["order4: the residual involution on D needs n2 <= 2 + 2g(D) and n2 = 2 + 2g(D) mod 4"]),
+    (6, ORDER6_F1, {"g_F1": 0, "g_F1_quot": 0, "g_F2": 1, "g_F2_quot": 1},
+     ["order6: F1 carries the higher genus",
+      "order6: two positive-genus curves fixed by an involution are both elliptic"]),
+    (6, ORDER6_ELLIPTIC, {"g_F2": 2, "N": 2},
+     ["order6: two positive-genus curves fixed by an involution are both elliptic"]),
+    (6, ORDER6_ELLIPTIC, {"g_F2_quot": 1},
+     ["order6: quotient genera cannot exceed the genera"]),
+    (6, ORDER6_ELLIPTIC, {"g_F2": 1, "g_F2_quot": 1},
+     ["order6: not enough invariant cube-fixed curves to carry the genera"]),
+], ids=["positive-top-genus", "first-type-n2", "second-type-curve", "residual-involution",
+        "F1-higher-genus", "both-elliptic", "quotient-genera", "cube-fixed-curves"])
+def test_each_constructor_relation_has_a_tuple_that_breaks_it(order, base, change, relations):
+    # the base tuple is consistent and the change breaks the relation; where no tuple
+    # breaks it alone, the relation that always breaks with it is listed too
+    assert run_text(json.dumps({"order": order, "invariants": base}))[1] == 0
+    assert _violations(order, dict(base, **change)) == relations
 
 
 def test_order4_constructor_nesting():
@@ -447,8 +487,9 @@ def test_constructors_name_every_negative_or_bool_invariant(tmp_path, capsys):
 RECORD_CACHES = (fixed_locus._curve, fixed_locus._point, fixed_locus._dims)
 
 
-def test_constructors_build_each_distinct_record_once(monkeypatch):
-    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 100)]
+def _assert_each_record_built_once(monkeypatch, build, inputs):
+    """Clear the record caches, call ``build`` on each input, and check that no two
+    curve orbits, point orbits or eigenspace splits it built are equal."""
     built = {cls: [] for cls in (CurveOrbit, PointOrbit, EigenspaceDims)}
     for cls, records in built.items():
         def counting(self, *args, _init=cls.__init__, _records=records, **kwargs):
@@ -458,19 +499,51 @@ def test_constructors_build_each_distinct_record_once(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
     for cache in RECORD_CACHES:
         cache.cache_clear()
-    for n, inv in invariants:
-        CONSTRUCTORS[n](**inv)
+    for args in inputs:
+        build(*args)
     for cls, records in built.items():
         assert 10 < len(records) == len(set(records)), cls.__name__
 
 
-def test_threads_sharing_the_record_caches_build_equal_configurations():
-    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 25, seed=33)]
-    expected = [CONSTRUCTORS[n](**inv) for n, inv in invariants]
+def _terse(raw: dict) -> dict:
+    """``raw`` with every curve and point field that holds its default left out."""
+    defaults = {"orbit_size": 1, "residual_order": 1, "count": 1, "char_dims": None}
+    for sub in raw["subgroups"]:
+        for item in sub["curves"] + sub["points"]:
+            if item.get("residual_order") == 1:
+                del item["quotient_genus"]
+            for key, value in defaults.items():
+                if key in item and item[key] == value:
+                    del item[key]
+    return raw
+
+
+#: raw documents of sampled configurations, every other one with its defaults left out
+RAW_DOCS = [{"order": n, "raw": _terse(raw_form(s.config)) if i % 2 else raw_form(s.config)}
+            for n in SUPPORTED_ORDERS for i, s in enumerate(samples(n, 100, seed=34))]
+
+
+def test_constructors_build_each_distinct_record_once(monkeypatch):
+    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 100)]
+    _assert_each_record_built_once(
+        monkeypatch, lambda n, inv: CONSTRUCTORS[n](**inv), invariants)
+
+
+def test_the_raw_reader_builds_each_distinct_record_once(monkeypatch):
+    # a terse and a full document of one record share its cache key
+    assert len(RAW_DOCS) == 400
+    assert any("quotient_genus" not in c for doc in RAW_DOCS
+               for sub in doc["raw"]["subgroups"] for c in sub["curves"])
+    _assert_each_record_built_once(monkeypatch, cli.parse_config, [(d,) for d in RAW_DOCS])
+
+
+def _build_in_six_threads(build, inputs, expected):
+    """Clear the record caches and let six threads ``build`` every input, five times over
+    with a 1 µs switch interval; each thread must build the ``expected`` results."""
     results = {}
 
-    def build(worker):
-        results[worker] = [CONSTRUCTORS[n](**inv) for n, inv in invariants]
+    def run(worker):
+        results[worker] = [build(*args) for args in inputs]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -478,7 +551,7 @@ def test_threads_sharing_the_record_caches_build_equal_configurations():
         for _ in range(5):
             for cache in RECORD_CACHES:
                 cache.cache_clear()
-            threads = [threading.Thread(target=build, args=(w,)) for w in range(6)]
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -487,6 +560,18 @@ def test_threads_sharing_the_record_caches_build_equal_configurations():
             assert all(results.pop(w) == expected for w in range(6))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_sharing_the_record_caches_build_equal_configurations():
+    invariants = [(n, s.invariants) for n in SUPPORTED_ORDERS for s in samples(n, 25, seed=33)]
+    _build_in_six_threads(lambda n, inv: CONSTRUCTORS[n](**inv), invariants,
+                          [CONSTRUCTORS[n](**inv) for n, inv in invariants])
+
+
+def test_threads_sharing_the_record_caches_read_equal_raw_configurations():
+    docs = RAW_DOCS[::4]
+    _build_in_six_threads(cli.parse_config, [(d,) for d in docs],
+                          [cli.parse_config(d) for d in docs])
 
 
 def test_record_caches_are_bounded():

@@ -11,15 +11,22 @@ arbitrary named and raw documents of the right shape.  At most one field of
 each is then moved by a small integer or replaced by a value of the wrong
 kind or an integer too long to take, so that most documents reach
 validation and many reach the engine.
+
+Raw documents drawn the same way are also read by ``read_raw_fieldwise``,
+the field-by-field reader in ``oracles.py``: ``parse_config`` must build an
+equal configuration, list equal violations, or raise the same schema message.
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bvhodge import cli
-from generators import samples
+from bvhodge import cli, validate
+from bvhodge.fixed_locus import InvariantError
+from generators import raw_form, samples
+from oracles import read_raw_fieldwise
 
 ORDERS = (2, 3, 4, 6)
 FUZZ = settings(max_examples=150, deadline=None,
@@ -92,25 +99,12 @@ def named_documents(draw):
     return {"order": n, "invariants": inv}
 
 
-def raw_form(cfg) -> dict:
-    """The raw document of a configuration, every optional field written out."""
-    return {"eigenspace_dims": list(cfg.eigenspace.dims), "subgroups": [
-        {"order": rec.subgroup_order,
-         "curves": [{"genus": c.genus, "orbit_size": c.orbit_size,
-                     "residual_order": c.residual_order, "quotient_genus": c.quotient_genus,
-                     "char_dims": None if c.char_dims is None else list(c.char_dims),
-                     "count": c.count} for c in rec.curves],
-         "points": [{"type": list(p.type_exponents), "orbit_size": p.orbit_size,
-                     "count": p.count} for p in rec.points]}
-        for rec in cfg.records]}
-
-
 @st.composite
-def consistent_documents(draw):
-    """A configuration that passes every check, as a named or a raw document."""
+def consistent_documents(draw, forms=("invariants", "raw")):
+    """A configuration that passes every check, as a document of one of ``forms``."""
     n = draw(st.sampled_from(ORDERS))
     drawn = samples(n, 1, seed=draw(st.integers(0, 2 ** 32)))[0]
-    if draw(st.booleans()):
+    if draw(st.sampled_from(forms)) == "invariants":
         return {"order": n, "invariants": drawn.invariants}
     return {"order": n, "raw": raw_form(drawn.config)}
 
@@ -124,25 +118,40 @@ def _fields(node, path=()):
         yield from _fields(child, path + (key,))
 
 
+def _perturb(draw, node):
+    """A copy of the JSON ``node`` with at most one value below it moved by a small
+    integer or replaced by junk."""
+    node = json.loads(json.dumps(node))
+    change = draw(st.sampled_from(("none", "nudge", "junk")))
+    fields = [(path, value) for path, value in _fields(node)
+              if change == "junk" or type(value) is int]
+    if change == "none" or not fields:
+        return node
+    path, value = draw(st.sampled_from(fields))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = (draw(junk) if change == "junk"
+                        else value + draw(st.integers(-2, 2).filter(bool)))
+    return node
+
+
 @st.composite
 def documents(draw):
     """A document of either kind with at most one field moved or replaced by junk."""
     # every source is drawn and one is kept: drawn first, the choice of source would
     # leave consistent documents so few choices that Hypothesis skips most as seen
     drawn = [draw(consistent_documents()), draw(raw_documents()), draw(named_documents())]
-    doc = json.loads(json.dumps(drawn[draw(st.sampled_from((0, 0, 1, 2)))]))
-    change = draw(st.sampled_from(("none", "nudge", "junk")))
-    fields = [(path, value) for path, value in _fields(doc)
-              if change == "junk" or type(value) is int]
-    if change == "none" or not fields:
-        return doc
-    path, value = draw(st.sampled_from(fields))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = (draw(junk) if change == "junk"
-                        else value + draw(st.integers(-2, 2).filter(bool)))
-    return doc
+    return _perturb(draw, drawn[draw(st.sampled_from((0, 0, 1, 2)))])
+
+
+@st.composite
+def raw_variants(draw):
+    """A raw document, consistent or arbitrary, with at most one field of its ``raw``
+    object moved or replaced by junk."""
+    drawn = [draw(consistent_documents(forms=("raw",))), draw(raw_documents())]
+    doc = drawn[draw(st.sampled_from((0, 1)))]
+    return {"order": doc["order"], "raw": _perturb(draw, doc["raw"])}
 
 
 @st.composite
@@ -217,3 +226,35 @@ def test_over_long_integers_end_in_an_exit_code(text):
 @example("[" * 5_000 + "]" * 5_000)
 def test_deeply_nested_documents_end_in_an_exit_code(text):
     _assert_exit_code(text)
+
+
+def _raw(*subgroups, dims=(10, 12)):
+    return {"order": len(dims), "raw": {"eigenspace_dims": list(dims),
+                                        "subgroups": list(subgroups)}}
+
+
+@FUZZ
+@given(raw_variants())
+@example(_raw({"order": 2, "curves": [{"genus": 0, "count": True}]}))
+@example(_raw({"order": 2, "curves": [{"genus": 0, "orbit_size": 10 ** 1000}]}))
+@example(_raw({"order": 2, "curves": [{"genus": 0, "char_dims": [0, -10 ** 1000]}]}))
+@example(_raw({"order": 2, "points": [{"type": [1, 1], "count": 2.0}]}))
+@example(_raw(dims=(10.0, 12)))
+@example(_raw(dims=(10, 12, 10 ** 1000)))
+def test_a_raw_document_reads_as_the_fieldwise_oracle_reads_it(doc):
+    # the one-pass read of parse_config and the oracle agree: an equal configuration,
+    # equal violations, or the same schema message
+    try:
+        expected = read_raw_fieldwise(doc["order"], doc["raw"])
+    except cli.SchemaError as fault:
+        with pytest.raises(cli.SchemaError) as refused:
+            cli.parse_config(doc)
+        assert str(refused.value) == str(fault)
+        return
+    try:
+        cfg = cli.parse_config(doc)
+    except InvariantError as invalid:
+        assert list(invalid.violations) == validate(expected)
+    else:
+        assert not validate(expected)
+        assert cfg == expected and repr(cfg) == repr(expected)
