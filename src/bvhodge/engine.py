@@ -26,7 +26,10 @@ invariant forms: its other characters are +-n/rho, where w agrees, as
 permutation characters are real (rho <= 3).  A curve has local
 exponents (0, r, n - r) and age 1, a point of type (t1, t2) has exponents
 (u*t1, u*t2, n - r) mod n, u = r/gcd(r, n), and age their sum over n.
-A sector keeps only the sum of its classes; the tests build them one by one.
+The sectors of the powers that generate one subgroup share one walk over its
+record, which ages each point once per power and also gives the Euler number
+of the fixed locus.  A sector keeps only the sum of its classes; the tests
+build them one by one.
 
 The engine trusts its configuration: the named constructors and the
 raw-document parser validate each one as they build it.  A configuration
@@ -40,6 +43,7 @@ them and uses no floats.
 from __future__ import annotations
 
 from math import gcd
+from operator import sub
 from typing import Optional
 
 from .closed_forms import HodgePair, closed_form_pair, euler_formula
@@ -48,8 +52,7 @@ from .fixed_locus import (
     SUPPORTED_ORDERS,
     InvariantError,
     K3Config,
-    PointOrbit,
-    euler_fixed_set,
+    SubgroupFixedRecord,
     validate,
 )
 from .hodge import HodgeDiamond, euler_characteristic
@@ -120,6 +123,12 @@ def _pair_classes(n: int) -> tuple[tuple[int, int], ...]:
                  for c in sorted(set(classes)) if c != n)
 
 
+def _powers(n: int) -> dict:
+    """(u, n - r) of each power g^r, u = r/gcd(r, n), keyed by the order of <g^r>."""
+    return {d: tuple((r * d // n, n - r) for r in range(1, n) if gcd(r, n) == n // d)
+            for d in ELLIPTIC_ORBITS[n]}
+
+
 _SECTOR_WEIGHTS = {n: _sector_weights(n) for n in SUPPORTED_ORDERS}
 #: (w[0], w[n/rho]) per (d, s, rho): the weights of a curve's invariant and other forms
 _SPLIT_WEIGHTS = {n: {(d, s, rho): (w[0], w[n // rho % n])
@@ -127,6 +136,9 @@ _SPLIT_WEIGHTS = {n: {(d, s, rho): (w[0], w[n // rho % n])
                       if n % rho == 0} for n in SUPPORTED_ORDERS}
 _PAIR_CLASSES = {n: _pair_classes(n) for n in SUPPORTED_ORDERS}
 _UNTWISTED_FRAME = {n: _untwisted_frame(n) for n in SUPPORTED_ORDERS}
+_POWERS = {n: _powers(n) for n in SUPPORTED_ORDERS}
+#: the period and its conjugate, which the (1,1) part of the K3 surface leaves out
+_PERIOD = {n: tuple(map(sum, zip(_delta(n, 1), _delta(n, n - 1)))) for n in SUPPORTED_ORDERS}
 
 
 # ---------------------------------------------------------------------------
@@ -140,66 +152,78 @@ def untwisted_diamond(cfg: K3Config) -> Table:
     the period and its conjugate; eigenspaces too small to hold them raise
     :class:`InvariantError`.
     """
-    n = cfg.n
-    dims = list(cfg.eigenspace.dims)
-    dims[1 % n] -= 1
-    dims[(n - 1) % n] -= 1
-    if min(dims) < 0:
+    n, dims, period = cfg.n, cfg.eigenspace.dims, _PERIOD[cfg.n]
+    if min(map(sub, dims, period)) < 0:
         raise InvariantError(validate(cfg))
-    table = list(map(list, _UNTWISTED_FRAME[n]))
-    for p2, q2, k in _ELLIPTIC[n]:  # the frame plus the (1,1) entry: four cells
-        table[1 + p2][1 + q2] += dims[-k]
-    return tuple(map(tuple, table))
+    # the (1,1) entry of each elliptic character k adds d[-k] less the period to one cell
+    row0, (h10, h11, h12, h13), (h20, h21, h22, h23), row3 = _UNTWISTED_FRAME[n]
+    return (row0, (h10, h11 + dims[0], h12 + dims[-1] - period[-1], h13),
+            (h20, h21 + dims[1] - period[1], h22 + dims[0], h23), row3)
 
 
-def _point_age(point: PointOrbit, n: int, r: int) -> int:
-    """Age of a point in the sector of g^r; a non-crepant one raises."""
-    u = r // gcd(r, n)  # g^r is the u-th power of the generator the point types refer to
-    exponents = (u * point.type_exponents[0] % n, u * point.type_exponents[1] % n, n - r)
-    a, rest = divmod(sum(exponents), n)
-    if rest or a not in (1, 2):
-        raise ValueError(f"non-crepant local data: point age {sum(exponents)}/{n}, not 1 or 2")
-    return a
+def _walk(n: int, rec: SubgroupFixedRecord, powers) -> tuple[int, int, int, int]:
+    """(h11, h21, h22) that the sectors of ``powers`` (as in :data:`_POWERS`) add, and the
+    Euler number of the fixed locus ``rec``.  A point age other than 1 or 2 means the local
+    data cannot belong to a crepant-resolvable quotient and is a hard error.
+    """
+    d, k = rec.subgroup_order, len(powers)
+    weights, split = _SECTOR_WEIGHTS[n], _SPLIT_WEIGHTS[n]
+    h0 = h21 = e = 0  # h0 of the curves goes to h11 and h22, that of a point to its age
+    for curve in rec.curves:
+        w0, w1 = split[d, curve.orbit_size, curve.residual_order]  # w[0] and w[n/rho]
+        h0 += curve.count * w0
+        h21 += curve.count * (curve.quotient_genus * w0 + (curve.genus - curve.quotient_genus) * w1)
+        e += curve.count * curve.orbit_size * (2 - 2 * curve.genus)
+    h11 = h22 = k * h0
+    for point in rec.points:
+        t1, t2 = point.type_exponents
+        w = point.count * weights[d, point.orbit_size][0]
+        e += point.count * point.orbit_size
+        for u, top in powers:
+            total = u * t1 % n + u * t2 % n + top
+            if total == n:
+                h11 += w
+            elif total == 2 * n:
+                h22 += w
+            else:
+                raise ValueError(f"non-crepant local data: point age {total}/{n}, not 1 or 2")
+    return h11, k * h21, h22, e
 
 
 def sector_contribution(cfg: K3Config, j: int) -> Table:
     """4x4 table the twisted sector of the j-th power of the generator adds (j nonzero).
 
-    Assumes a structurally valid configuration.  A point age other than 1
-    or 2 means the local data cannot belong to a crepant-resolvable
-    quotient and is a hard error.
+    The one-power view of the walk :func:`orbifold_hodge_diamond` makes over
+    each record.  Assumes a structurally valid configuration.
     """
     n = cfg.n
     r = j % n
     if r == 0:
         raise ValueError("the untwisted part is not a sector; use untwisted_diamond")
-    d = n // gcd(r, n)
-    weights, split, record = _SECTOR_WEIGHTS[n], _SPLIT_WEIGHTS[n], cfg.record(d)
-    # h0 of the curves, at index 0, goes to h11 and h22, that of the points at index age
-    h0, h21 = [0, 0, 0], 0
-    for curve in record.curves:
-        w0, w1 = split[d, curve.orbit_size, curve.residual_order]  # w[0] and w[n/rho]
-        h0[0] += curve.count * w0
-        h21 += curve.count * (curve.quotient_genus * w0 + (curve.genus - curve.quotient_genus) * w1)
-    for point in record.points:
-        h0[_point_age(point, n, r)] += point.count * weights[d, point.orbit_size][0]
-    return ((0, 0, 0, 0), (0, h0[0] + h0[1], h21, 0), (0, h21, h0[0] + h0[2], 0), (0, 0, 0, 0))
+    g = gcd(r, n)
+    h11, h21, h22, _ = _walk(n, cfg.record(n // g), ((r // g, n - r),))
+    return ((0, 0, 0, 0), (0, h11, h21, 0), (0, h21, h22, 0), (0, 0, 0, 0))
 
 
-def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
+def orbifold_hodge_diamond(cfg: K3Config, _eulers: Optional[dict] = None) -> HodgeDiamond:
     """Full orbifold Hodge diamond: untwisted part plus all twisted sectors.
 
-    The result is checked against the Calabi-Yau frame (corner 1s, vanishing
-    (1,0) and (2,0) rows) and both symmetries; a failure here indicates an
-    internal inconsistency and is raised, not returned.
+    The sectors of one subgroup share one walk over its record.  The result
+    is checked against the Calabi-Yau frame (corner 1s, vanishing (1,0) and
+    (2,0) rows) and both symmetries; a failure here indicates an internal
+    inconsistency and is raised, not returned.  :func:`crosscheck` passes
+    ``_eulers``, which the walks fill with each record's Euler number.
     """
+    n = cfg.n
     row0, (h10, h11, h12, h13), (h20, h21, h22, h23), row3 = untwisted_diamond(cfg)
-    for r in range(1, cfg.n):  # a sector adds only to the four middle cells
-        (_, (_, s11, s12, _), (_, s21, s22, _), _) = sector_contribution(cfg, r)
+    for rec in cfg.records:  # a sector adds only to the four middle cells
+        s11, s21, s22, e = _walk(n, rec, _POWERS[n][rec.subgroup_order])
         h11 += s11
-        h12 += s12
+        h12 += s21
         h21 += s21
         h22 += s22
+        if _eulers is not None:
+            _eulers[rec.subgroup_order] = e
     diamond = HodgeDiamond(3, (row0, (h10, h11, h12, h13), (h20, h21, h22, h23), row3))
     t = diamond.table
     if not (t[0][0] == t[3][3] == t[3][0] == t[0][3] == 1
@@ -209,21 +233,21 @@ def orbifold_hodge_diamond(cfg: K3Config) -> HodgeDiamond:
     return diamond
 
 
-def orbifold_euler_pairsum(cfg: K3Config, _eulers: Optional[list[int]] = None) -> int:
+def orbifold_euler_pairsum(cfg: K3Config, _eulers: Optional[dict] = None) -> int:
     """Group-averaged Euler characteristic over commuting pairs.
 
     (1/n) * sum over all pairs (j, k) of e of the common fixed set, which
     only depends on gcd(j, k, n), so each class is evaluated once and
     weighted by its pairs.  Every weight is a multiple of n, so the division
-    is exact.  :func:`crosscheck` passes ``_eulers``, the fixed-set Euler
-    numbers it also feeds to the closed form.
+    is exact.  :func:`crosscheck` passes ``_eulers``, the Euler numbers of
+    its walks by subgroup order; without them each record is walked again.
     """
     n = cfg.n
     if _eulers is None:
-        _eulers = [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[n]]
+        _eulers = {rec.subgroup_order: _walk(n, rec, ())[3] for rec in cfg.records}
     total = 0
-    for e, (_, weight) in zip(_eulers, _PAIR_CLASSES[n]):
-        total += e * weight
+    for c, weight in _PAIR_CLASSES[n]:  # g^c fixes what its subgroup, of order n/c, fixes
+        total += _eulers.get(n // c, 0) * weight
     return total // n
 
 
@@ -280,10 +304,10 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     from, also engine against closed forms; otherwise those checks are
     reported as skipped.  Mismatches are data, not exceptions.
     """
-    diamond = orbifold_hodge_diamond(cfg)
+    eulers: dict = {}
+    diamond = orbifold_hodge_diamond(cfg, eulers)
     h11, h21 = diamond.entry(1, 1), diamond.entry(2, 1)
     e_diamond = euler_characteristic(diamond)
-    eulers = [euler_fixed_set(cfg, c) for c, _ in _PAIR_CLASSES[cfg.n]]
     e_pair = orbifold_euler_pairsum(cfg, eulers)
     checks = [_check("euler_pairsum", e_diamond, e_pair),
               _check("cy_relation", h21, h11 - e_pair // 2)]
@@ -291,7 +315,8 @@ def crosscheck(cfg: K3Config) -> CrosscheckReport:
     closed = e_closed = None
     if cfg.invariants is not None:
         closed = closed_form_pair(cfg.n, cfg.invariants)
-        e_closed = euler_formula(cfg.n, eulers)
+        e_closed = euler_formula(cfg.n, [eulers.get(cfg.n // c, 0)
+                                         for c, _ in _PAIR_CLASSES[cfg.n]])
         checks.append(_check("closed_form_h11", h11, closed.h11))
         checks.append(_check("closed_form_h21", h21, closed.h21))
         checks.append(_check("closed_form_euler", e_pair, e_closed))

@@ -4,8 +4,9 @@ They are independent routes to numbers the package computes: the
 curve-count form of the order-2 Hodge numbers, the order-4 rank relations
 the samplers solve for (r, m), the Calabi-Yau Euler relation, the
 order-6 consistency functional, the character-0 slice of the Kuenneth
-product, the character split of a curve, and the sector components one
-by one, whose entries the engine sums straight into each sector's table.
+product, the character split of a curve, the Euler number of the fixed set
+of a power, and the sector components one by one, whose entries the engine
+sums straight into each sector's table.
 They also build the Kuenneth oracle's inputs (single characters, orbit
 characters and grids of character vectors) and the local actions whose
 ages :func:`bvhodge.cyclic.age` computes, and read a raw document field by
@@ -190,6 +191,26 @@ def curve_character_dims(curve: CurveOrbit, n: int) -> tuple[int, ...]:
         for t in range(1, rho):
             c[t * n // rho] = even + (t <= extra)
     return tuple(c)
+
+
+def euler_fixed_set(cfg: K3Config, j: int) -> int:
+    """Euler characteristic of the fixed set of the j-th power on S.
+
+    The identity gives the full K3 value 24; otherwise the fixed set is the
+    one of the subgroup generated by the power, read off its record: each
+    member of a curve orbit adds 2 - 2g, each isolated point 1.  The engine
+    reads the same numbers off its walk over each record.
+    """
+    r = j % cfg.n
+    if r == 0:
+        return 24
+    rec = cfg.record(cfg.n // gcd(r, cfg.n))
+    e = 0
+    for c in rec.curves:
+        e += c.count * c.orbit_size * (2 - 2 * c.genus)
+    for p in rec.points:
+        e += p.count * p.orbit_size
+    return e
 
 
 def table_of(entries) -> tuple[tuple[int, ...], ...]:

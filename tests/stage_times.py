@@ -20,10 +20,12 @@ invalid-named and invalid-raw) also gets one row per kind, timed over that
 kind's documents alone.
 
 A second table counts the fixed-locus records that one pass of each workload
-builds, and the raw documents whose fault the field-wise walk
-(``cli._raw_fault``) names: ``run_text`` once per document, in a fresh
-interpreter, so that the record caches start empty.  Pytest does not collect
-this file; it is a measuring tool, like ``bench_digests.py``.
+builds, the raw documents whose fault the field-wise walk
+(``cli._raw_fault``) names, and the engine's walks over a subgroup record
+(``engine._walk``, one per record of each document the engine reads):
+``run_text`` once per document, in a fresh interpreter, so that the record
+caches start empty.  Pytest does not collect this file; it is a measuring
+tool, like ``bench_digests.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 from pathlib import Path
 from time import perf_counter_ns
 
-from bvhodge import cli, fixed_locus
+from bvhodge import cli, engine, fixed_locus
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 SEED = 1
@@ -43,6 +45,8 @@ SEED = 1
 COUNTED = ("CurveOrbit", "PointOrbit", "SubgroupFixedRecord", "EigenspaceDims")
 #: the column that counts the raw documents the field-wise walk reads to name a fault
 WALK = "_raw_fault"
+#: the column that counts the engine's walks over a subgroup record
+RECORD_WALK = "_walk"
 
 
 def _best_us(fn, inputs, repeats: int, per: int) -> float:
@@ -89,9 +93,9 @@ def _stage_inputs(docs) -> dict:
 
 
 def _count_records(docs) -> list[int]:
-    """Constructions of each class in ``COUNTED``, then calls of the field-wise walk,
-    while ``run_text`` handles ``docs`` once."""
-    counts = dict.fromkeys(COUNTED + (WALK,), 0)
+    """Constructions of each class in ``COUNTED``, then calls of the field-wise walk and of
+    the record walk, while ``run_text`` handles ``docs`` once."""
+    counts = dict.fromkeys(COUNTED + (WALK, RECORD_WALK), 0)
     for name in COUNTED:
         cls = getattr(fixed_locus, name)
 
@@ -105,7 +109,12 @@ def _count_records(docs) -> list[int]:
         counts[WALK] += 1
         return _walk(*args)
 
+    def walking_record(*args, _walk=engine._walk):
+        counts[RECORD_WALK] += 1
+        return _walk(*args)
+
     cli._raw_fault = walking
+    engine._walk = walking_record
     for d in docs:
         try:
             cli.run_text(d.text, d.fmt)
@@ -145,7 +154,7 @@ def main(argv) -> int:
                              for s in stages)
             print(f"{label:<16} {len(some):>5} {cells}")
     print(f"\nrecords built in one pass, fresh process, seed {SEED}")
-    print(f"{'workload':<10} " + " ".join(f"{c:>19}" for c in COUNTED + (WALK,)))
+    print(f"{'workload':<10} " + " ".join(f"{c:>19}" for c in COUNTED + (WALK, RECORD_WALK)))
     for name in built:
         print(f"{name:<10} " + " ".join(f"{c:>19,}" for c in _fresh_counts(name)))
     return 0

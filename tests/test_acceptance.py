@@ -24,10 +24,9 @@ from bvhodge import (
 )
 from bvhodge.closed_forms import euler_formula
 from bvhodge.engine import sector_contribution
-from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic
 from generators import samples
-from oracles import classic_bv, corollary_order6, eager_sector_components
+from oracles import classic_bv, corollary_order6, eager_sector_components, euler_fixed_set
 
 SUITE_SIZE = 500
 ORDERS = (2, 3, 4, 6)

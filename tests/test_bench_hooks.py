@@ -41,7 +41,7 @@ def test_tracer_installs_records_and_restores():
             assert cli.run_text(cli.load_fixture_text(name), fmt="json")[1] == cli.EXIT_OK
     assert trace.missing == []
     recorded = {span[1] for span in trace.spans}
-    assert {"engine.sector_contribution", "cli.emit"} <= recorded
+    assert {"engine.orbifold_hodge_diamond", "cli.emit"} <= recorded
     assert sum(calls for *_, calls in trace.totals["hodge.HodgeDiamond"].values()) > 0
 
     for (layer, attr), original in originals.items():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from math import gcd
@@ -33,13 +34,14 @@ from bvhodge import engine, hodge
 from bvhodge.closed_forms import euler_formula
 from bvhodge.cyclic import age
 from bvhodge.engine import sector_contribution, untwisted_diamond
-from bvhodge.fixed_locus import euler_fixed_set
 from bvhodge.hodge import euler_characteristic, kunneth_character_product
+from bench_digests import WORKLOADS
 from generators import raw_form, samples
 from oracles import (
     LocalAction,
     curve_character_dims,
     eager_sector_components,
+    euler_fixed_set,
     invariant_diamond,
     power_transport,
     table_of,
@@ -153,11 +155,13 @@ def test_sector_rejects_untwisted_index():
 
 
 def test_sector_non_crepant_point_type_raises():
-    # bypass validation: a point type breaking the determinant congruence
+    # bypass validation: a point type breaking the determinant congruence, refused by the
+    # walk on every route to it
     rec = SubgroupFixedRecord(4, points=(PointOrbit((1, 1)),))
     cfg = K3Config(4, EigenspaceDims(4, (12, 3, 4, 3)), (rec,))
-    with pytest.raises(ValueError, match="non-crepant"):
-        sector_contribution(cfg, 1)
+    for route in (lambda cfg: sector_contribution(cfg, 1), orbifold_hodge_diamond, crosscheck):
+        with pytest.raises(ValueError, match="non-crepant local data: point age 5/4"):
+            route(cfg)
 
 
 def test_sector_errors_are_not_memoised():
@@ -279,24 +283,25 @@ def test_serving_path_builds_one_diamond(monkeypatch):
             assert len(built) == (0 if code == cli.EXIT_INVALID else 1), name
 
 
-@pytest.mark.parametrize("order, classes", [(2, 1), (3, 1), (4, 2), (6, 3)])
-def test_serving_path_reads_each_fixed_set_euler_number_once(monkeypatch, order, classes):
-    # the pair sum and the closed-form Euler number share one read per class
-    read = []
-    honest = engine.euler_fixed_set
-    monkeypatch.setattr(engine, "euler_fixed_set", lambda cfg, c: read.append(c) or honest(cfg, c))
+@pytest.mark.parametrize("order", [2, 3, 4, 6])
+def test_serving_path_walks_each_record_once(monkeypatch, order):
+    # the sectors of one subgroup and its fixed-set Euler number share one walk over its
+    # record, which the pair sum and the closed-form Euler number then read
+    walked = []
+    honest = engine._walk
+    monkeypatch.setattr(engine, "_walk",
+                        lambda n, rec, powers: walked.append(rec) or honest(n, rec, powers))
     for sample in samples(order, 10, seed=77):
         for doc in ({"order": order, "invariants": sample.invariants},
                     {"order": order, "raw": raw_form(sample.config)}):
-            read.clear()
+            walked.clear()
             text, code = cli.run_text(json.dumps(doc), fmt="json")
             assert code == cli.EXIT_OK, text
-            assert sorted(read) == [c for c, _ in engine._PAIR_CLASSES[order]]
-            assert len(read) == classes
+            assert walked == list(cli.parse_config(doc).records)
     cfg = samples(order, 1, seed=78)[0].config
-    read.clear()  # the public one-argument form reads them itself
+    walked.clear()  # the public one-argument form walks them itself
     assert orbifold_euler_pairsum(cfg) == crosscheck(cfg).euler_pairsum
-    assert len(read) == 2 * classes
+    assert len(walked) == 2 * len(cfg.records)
 
 
 def _sector_configs():
@@ -326,25 +331,56 @@ def test_sector_table_sums_its_components_entries():
     assert built > 2000 * 3
 
 
-@pytest.mark.parametrize("where, cells", [
-    ("sector_contribution", [(1, 2)]),                    # h12 without its h21
-    ("sector_contribution", [(2, 2)]),                    # h22 without its h11
-    ("untwisted_diamond", [(1, 0), (0, 1), (2, 3), (3, 2)]),  # symmetric, frame broken
-    ("untwisted_diamond", [(0, 0), (3, 3)]),                  # corners of 2
-])
-def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, cells):
+def test_one_walk_per_record_adds_up_the_sectors_power_by_power():
+    # the diamond is the untwisted part plus every one-power sector, cell by cell, and each
+    # pair class reads the Euler number of its record off the same walk, as the oracle does
+    workloads = runpy.run_path(str(WORKLOADS))
+    raw_docs = workloads["WORKLOADS"]["raw-text"](1, workloads["catalog_tuples"]())
+    configs = [cli.parse_config(json.loads(doc.text)) for doc in raw_docs]
+    assert len(configs) == 1065
+    configs += [s.config for order in (2, 3, 4, 6) for s in samples(order, 500)]
+    for cfg in configs:
+        n, by_order = cfg.n, {}
+        tables = [untwisted_diamond(cfg)] + [sector_contribution(cfg, r) for r in range(1, n)]
+        summed = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables))
+        assert orbifold_hodge_diamond(cfg, by_order).table == summed, cfg
+        for c, _ in engine._PAIR_CLASSES[n]:
+            assert by_order.get(n // c, 0) == euler_fixed_set(cfg, c), (cfg, c)
+
+
+@pytest.mark.parametrize("where, change, refused_by", [
+    ("_walk", [2], "is_self_dual"),                                # h22 without its h11
+    ("untwisted_diamond", [(1, 2)], "is_pq_symmetric"),            # h12 without its h21
+    ("untwisted_diamond", [(1, 0), (0, 1), (2, 3), (3, 2)], "frame"),  # symmetric, frame broken
+    ("untwisted_diamond", [(0, 0), (3, 3)], "corner"),                 # corners of 2
+], ids=["walk-h22", "untwisted-h12", "untwisted-frame", "untwisted-corner"])
+def test_orbifold_diamond_refuses_a_broken_frame(monkeypatch, where, change, refused_by):
     cfg = from_invariants_order4(**WORKED_ORDER4)
     honest = getattr(engine, where)
 
-    def broken(cfg, *args):
-        rows = [list(row) for row in honest(cfg, *args)]
-        for p, q in cells:
+    def broken(*args):
+        if where == "_walk":  # (h11, h21, h22, e): one h21 serves both off-diagonal cells
+            return tuple(v + (i in change) for i, v in enumerate(honest(*args)))
+        rows = [list(row) for row in honest(*args)]
+        for p, q in change:
             rows[p][q] += 1
         return tuple(map(tuple, rows))
 
+    checked = []
+    for name in ("is_pq_symmetric", "is_self_dual"):
+        def spy(self, _check=getattr(hodge.HodgeDiamond, name), _name=name):
+            checked.append((_name, _check(self)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(hodge.HodgeDiamond, name, spy)
     monkeypatch.setattr(engine, where, broken)
     with pytest.raises(RuntimeError, match="malformed diamond"):
         orbifold_hodge_diamond(cfg)
+    # the frame and the corners are read before the symmetries, pq-symmetry before duality
+    assert checked == {"frame": [], "corner": [],
+                       "is_pq_symmetric": [("is_pq_symmetric", False)],
+                       "is_self_dual": [("is_pq_symmetric", True),
+                                        ("is_self_dual", False)]}[refused_by]
 
 
 def _explicit_split_raw(cfg, f1_dims, f2_dims):

@@ -27,14 +27,10 @@ from bvhodge import (
 from bvhodge import cli, fixed_locus
 from bvhodge.cli import EXIT_INVALID, run_text
 from bvhodge.engine import _SECTOR_WEIGHTS
-from bvhodge.fixed_locus import (
-    ELLIPTIC_ORBITS,
-    SUPPORTED_ORDERS,
-    euler_fixed_set,
-)
+from bvhodge.fixed_locus import ELLIPTIC_ORBITS, SUPPORTED_ORDERS
 from bvhodge.hodge import CharacterVector
 from generators import raw_form, samples
-from oracles import curve_character_dims, delta, orbit
+from oracles import curve_character_dims, delta, euler_fixed_set, orbit
 
 
 def curves_in(record):
@@ -387,24 +383,23 @@ ORDER6_ELLIPTIC = _fixture_invariants("order6_elliptic_top_curve")
     (4, _fixture_invariants("order4_first_type"), {"n1": 4, "n2": 2},
      ["order4: first type forces n2 = 0"]),
     (4, ORDER4_SECOND, {"b": 0},
-     ["order4: second type needs at least one invariant curve",
-      "order4: second type needs b = n1/2 + 1 (0 != (4 - 0)/2 + 1)"]),
+     ["order4: second type needs b = n1/2 + 1 (0 != (4 - 0)/2 + 1)"]),
     (4, ORDER4_SECOND, {"n1": 2, "n2": 2, "b": 2},
      ["order4: the residual involution on D needs n2 <= 2 + 2g(D) and n2 = 2 + 2g(D) mod 4"]),
     (6, ORDER6_F1, {"g_F1": 0, "g_F1_quot": 0, "g_F2": 1, "g_F2_quot": 1},
-     ["order6: F1 carries the higher genus",
-      "order6: two positive-genus curves fixed by an involution are both elliptic"]),
+     ["order6: two positive-genus curves fixed by an involution are both elliptic"]),
     (6, ORDER6_ELLIPTIC, {"g_F2": 2, "N": 2},
      ["order6: two positive-genus curves fixed by an involution are both elliptic"]),
     (6, ORDER6_ELLIPTIC, {"g_F2_quot": 1},
      ["order6: quotient genera cannot exceed the genera"]),
     (6, ORDER6_ELLIPTIC, {"g_F2": 1, "g_F2_quot": 1},
      ["order6: not enough invariant cube-fixed curves to carry the genera"]),
-], ids=["positive-top-genus", "first-type-n2", "second-type-curve", "residual-involution",
-        "F1-higher-genus", "both-elliptic", "quotient-genera", "cube-fixed-curves"])
+], ids=["positive-top-genus", "first-type-n2", "second-type-b", "residual-involution",
+        "lower-genus-F1", "both-elliptic", "quotient-genera", "cube-fixed-curves"])
 def test_each_constructor_relation_has_a_tuple_that_breaks_it(order, base, change, relations):
-    # the base tuple is consistent and the change breaks the relation; where no tuple
-    # breaks it alone, the relation that always breaks with it is listed too
+    # the base tuple is consistent and the change breaks the relation alone; b = 0 and an
+    # F1 of lower genus than F2 are refused by one relation each, b = n1/2 + 1 with n1 >= 0
+    # and "both elliptic"
     assert run_text(json.dumps({"order": order, "invariants": base}))[1] == 0
     assert _violations(order, dict(base, **change)) == relations
 
