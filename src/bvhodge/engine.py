@@ -46,7 +46,7 @@ from math import gcd
 from operator import sub
 from typing import Optional
 
-from .closed_forms import HodgePair, closed_form_pair, euler_formula
+from .closed_forms import closed_form_pair, euler_formula
 from .fixed_locus import (
     ELLIPTIC_ORBITS,
     SUPPORTED_ORDERS,
@@ -56,7 +56,6 @@ from .fixed_locus import (
     validate,
 )
 from .hodge import HodgeDiamond, euler_characteristic
-from .record import Record, setfield
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -251,77 +250,41 @@ def orbifold_euler_pairsum(cfg: K3Config, _eulers: Optional[dict] = None) -> int
     return total // n
 
 
-class Check(Record):
-    """One cross-validation: status is 'pass', 'fail' or 'skipped'."""
-
-    __slots__ = ("name", "status", "lhs", "rhs")
-
-    def __init__(self, name: str, status: str, lhs: Optional[int] = None,
-                 rhs: Optional[int] = None):
-        setfield(self, "name", name)
-        setfield(self, "status", status)
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
+def _check(name: str, lhs: int, rhs: int) -> dict:
+    return {"name": name, "status": "pass" if lhs == rhs else "fail", "lhs": lhs, "rhs": rhs}
 
 
-#: the closed-form checks of a configuration without named invariants
-_SKIPPED_CLOSED_FORM = tuple(Check(name, "skipped") for name in
-                             ("closed_form_h11", "closed_form_h21", "closed_form_euler"))
-
-
-class CrosscheckReport(Record):
-    __slots__ = ("diamond", "h11", "h21", "euler_diamond", "euler_pairsum", "closed",
-                 "euler_closed", "checks")
-
-    def __init__(self, diamond: HodgeDiamond, h11: int, h21: int, euler_diamond: int,
-                 euler_pairsum: int, closed: Optional[HodgePair], euler_closed: Optional[int],
-                 checks: tuple[Check, ...]):
-        setfield(self, "diamond", diamond)
-        setfield(self, "h11", h11)
-        setfield(self, "h21", h21)
-        setfield(self, "euler_diamond", euler_diamond)
-        setfield(self, "euler_pairsum", euler_pairsum)
-        setfield(self, "closed", closed)
-        setfield(self, "euler_closed", euler_closed)
-        setfield(self, "checks", checks)
-
-    @property
-    def passed(self) -> bool:
-        return "fail" not in [c.status for c in self.checks]
-
-
-def _check(name, lhs, rhs) -> Check:
-    return Check(name, "pass" if lhs == rhs else "fail", lhs, rhs)
-
-
-def crosscheck(cfg: K3Config) -> CrosscheckReport:
-    """Run every cross-validation the configuration supports.
+def crosscheck(cfg: K3Config) -> dict:
+    """Run every cross-validation the configuration supports, and report them.
 
     Always: the alternating sum of the engine diamond against the pair-sum
     Euler characteristic, and h^{2,1} against h^{1,1} - e/2 (a valid
-    configuration has an even pair sum).  When the
-    configuration carries the named invariants its constructor built it
-    from, also engine against closed forms; otherwise those checks are
-    reported as skipped.  Mismatches are data, not exceptions.
+    configuration has an even pair sum).  When the configuration carries the
+    named invariants its constructor built it from, also engine against closed
+    forms; otherwise those checks are skipped.  Mismatches are data, not
+    exceptions.  The report, built afresh on every call, is the part of the
+    ``--format json`` output the engine computes: ``diamond`` (lists),
+    ``engine`` and ``closed_form`` (``{h11, h21, euler}``, the latter ``None``
+    for a raw configuration) and ``checks`` (``{name, status, lhs, rhs}``).
     """
     eulers: dict = {}
     diamond = orbifold_hodge_diamond(cfg, eulers)
     h11, h21 = diamond.entry(1, 1), diamond.entry(2, 1)
-    e_diamond = euler_characteristic(diamond)
     e_pair = orbifold_euler_pairsum(cfg, eulers)
-    checks = [_check("euler_pairsum", e_diamond, e_pair),
+    checks = [_check("euler_pairsum", euler_characteristic(diamond), e_pair),
               _check("cy_relation", h21, h11 - e_pair // 2)]
-
-    closed = e_closed = None
-    if cfg.invariants is not None:
-        closed = closed_form_pair(cfg.n, cfg.invariants)
+    if cfg.invariants is None:
+        closed = None
+        checks += [{"name": name, "status": "skipped", "lhs": None, "rhs": None}
+                   for name in ("closed_form_h11", "closed_form_h21", "closed_form_euler")]
+    else:
+        pair = closed_form_pair(cfg.n, cfg.invariants)
         e_closed = euler_formula(cfg.n, [eulers.get(cfg.n // c, 0)
                                          for c, _ in _PAIR_CLASSES[cfg.n]])
-        checks.append(_check("closed_form_h11", h11, closed.h11))
-        checks.append(_check("closed_form_h21", h21, closed.h21))
-        checks.append(_check("closed_form_euler", e_pair, e_closed))
-    else:
-        checks.extend(_SKIPPED_CLOSED_FORM)
-    return CrosscheckReport(diamond, h11, h21, e_diamond, e_pair, closed, e_closed,
-                            tuple(checks))
-
+        closed = {"h11": pair.h11, "h21": pair.h21, "euler": e_closed}
+        checks += [_check("closed_form_h11", h11, pair.h11),
+                   _check("closed_form_h21", h21, pair.h21),
+                   _check("closed_form_euler", e_pair, e_closed)]
+    return {"diamond": list(map(list, diamond.table)),
+            "engine": {"h11": h11, "h21": h21, "euler": e_pair},
+            "closed_form": closed, "checks": checks}

@@ -22,7 +22,7 @@ from bvhodge import (
     from_invariants_order6,
 )
 from bvhodge.closed_forms import HodgePair, closed_form_pair
-from oracles import aas_relations_order4
+from oracles import aas_relations_order4, implied_dims
 
 MAX_TRIES = 500
 
@@ -207,5 +207,11 @@ _SAMPLERS = {2: _sample_order2, 3: _sample_order3, 4: _sample_order4, 6: _sample
 
 
 def samples(order: int, count: int, seed: int = 20260810, **kwargs) -> list[Sample]:
+    """``count`` samples of an order; each fixed locus implies the sample's eigenspace
+    dimensions by the topological Lefschetz formula (:func:`oracles.implied_dims`)."""
     rng = Random(seed * 100 + order)
-    return [_SAMPLERS[order](rng, **kwargs) for _ in range(count)]
+    out = [_SAMPLERS[order](rng, **kwargs) for _ in range(count)]
+    for sample in out:
+        dims = sample.config.eigenspace.dims
+        assert implied_dims(sample.config) == dims, f"Lefschetz: {sample.invariants} {dims}"
+    return out

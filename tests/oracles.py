@@ -5,8 +5,9 @@ curve-count form of the order-2 Hodge numbers, the order-4 rank relations
 the samplers solve for (r, m), the Calabi-Yau Euler relation, the
 order-6 consistency functional, the character-0 slice of the Kuenneth
 product, the character split of a curve, the Euler number of the fixed set
-of a power, and the sector components one by one, whose entries the engine
-sums straight into each sector's table.
+of a power, the eigenspace dimensions those Euler numbers imply by the
+topological Lefschetz formula, and the sector components one by one, whose
+entries the engine sums straight into each sector's table.
 They also build the Kuenneth oracle's inputs (single characters, orbit
 characters and grids of character vectors) and the local actions whose
 ages :func:`bvhodge.cyclic.age` computes, and read a raw document field by
@@ -211,6 +212,29 @@ def euler_fixed_set(cfg: K3Config, j: int) -> int:
     for p in rec.points:
         e += p.count * p.orbit_size
     return e
+
+
+#: 2cos(2 pi x / n) for x = 0..n-1, an integer for every supported order
+TWO_COS = {2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
+
+
+def implied_dims(cfg: K3Config) -> tuple[int, ...]:
+    """The eigenspace dimensions of H^2(S) that the fixed loci imply (topological Lefschetz).
+
+    g^j acts on H^2 with trace t_j = e(Fix g^j) - 2, so t_0 = 22, and the characters
+    k and -k have equal multiplicity, as H^2 is real: dims[k] is the sum over j of
+    t_j * 2cos(2 pi jk/n), divided by 2n.  A sum the division leaves a remainder in
+    means no representation has these traces, and raises ``ValueError``.
+    """
+    n, cos = cfg.n, TWO_COS[cfg.n]
+    traces = [euler_fixed_set(cfg, j) - 2 for j in range(n)]
+    dims = []
+    for k in range(n):
+        total = sum(t * cos[j * k % n] for j, t in enumerate(traces))
+        if total % (2 * n):
+            raise ValueError(f"character {k}: traces {traces} give {total}/{2 * n}")
+        dims.append(total // (2 * n))
+    return tuple(dims)
 
 
 def table_of(entries) -> tuple[tuple[int, ...], ...]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvhodge import InvariantError, K3Config, cli, crosscheck
-from generators import samples
+from generators import raw_form, samples
 
 WORKED_DOC = {
     "order": 4,
@@ -415,12 +415,41 @@ def test_json_reports_carry_every_check_the_engine_reports():
         except (ValueError, InvariantError):  # malformed JSON, schema or invariant errors
             continue
         for run in (cfg, K3Config(cfg.n, cfg.eigenspace, cfg.records)):  # and without names
-            engine |= {(c.name, c.status) for c in crosscheck(run).checks}
+            engine |= {(c["name"], c["status"]) for c in crosscheck(run)["checks"]}
             report = json.loads(cli.emit(cli.run(run, doc), "json"))
             written |= {(c["name"], c["status"]) for c in report["checks"]}
     assert written == engine
     assert {status for _, status in engine} == {"pass", "fail", "skipped"}
     assert {name for name, _ in engine} == set(ENGINE_CHECKS)
+
+
+def _engine_documents():
+    """Every fixture that reaches the engine, and 100 samples per order, named and raw."""
+    docs = []
+    for name in cli.fixture_names():
+        text = cli.load_fixture_text(name)
+        try:
+            code = cli.run_text(text)[1]
+        except ValueError:  # malformed JSON or schema
+            continue
+        if code != cli.EXIT_INVALID:
+            docs.append(json.loads(text))
+    for n in (2, 3, 4, 6):
+        for sample in samples(n, 100):
+            docs.append({"order": n, "invariants": sample.invariants})
+            docs.append({"order": n, "raw": raw_form(sample.config)})
+    return docs
+
+
+def test_crosscheck_returns_the_report_the_cli_writes_less_the_run_fields():
+    codes = set()
+    for doc in _engine_documents():
+        written = json.loads(cli.run_text(json.dumps(doc), "json")[0])
+        codes.add(written.pop("exit_code"))
+        for key in ("order", "config", "violations"):
+            del written[key]
+        assert crosscheck(cli.parse_config(doc)) == written, doc
+    assert codes == {cli.EXIT_OK, cli.EXIT_CHECK}
 
 
 # --- main() ---------------------------------------------------------------------
@@ -597,3 +626,23 @@ def test_cli_process_exits_1_without_a_traceback_when_stdout_is_gone(args, stdou
         os.close(write_end)
     assert done.returncode == cli.EXIT_PARSE
     assert done.stderr == stderr  # no traceback, and no "Exception ignored" at exit
+
+
+def test_cli_process_exits_1_without_a_traceback_when_stdin_is_closed():
+    done = _cli_process(preexec_fn=lambda: os.close(0))
+    assert done.returncode == cli.EXIT_PARSE
+    assert done.stdout == b""
+    assert done.stderr == b"error: cannot read the input: stdin is closed\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--list-fixtures",),
+    ("--fixture", "order4_first_type", "--format", "json"),
+    ("--input", str(Path(cli.__file__).parent / "fixtures" / "order4_first_type.json"),
+     "--format", "json"),
+], ids=["list-fixtures", "fixture", "input"])
+def test_cli_process_reads_no_stdin_when_another_source_is_named(args):
+    # with stdin closed, the options that name their input run as with it open
+    done = _cli_process(*args, preexec_fn=lambda: os.close(0))
+    assert done.stderr == b""
+    assert (done.returncode, done.stdout) == (cli.EXIT_OK, _cli_process(*args).stdout)

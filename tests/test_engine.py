@@ -1,5 +1,6 @@
 """The twisted-sector engine against hand-computed and closed-form values."""
 
+import copy
 import json
 import os
 import runpy
@@ -31,7 +32,7 @@ from bvhodge import (
     validate,
 )
 from bvhodge import engine, hodge
-from bvhodge.closed_forms import euler_formula
+from bvhodge.closed_forms import HodgePair, euler_formula
 from bvhodge.cyclic import age
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.hodge import euler_characteristic, kunneth_character_product
@@ -300,7 +301,7 @@ def test_serving_path_walks_each_record_once(monkeypatch, order):
             assert walked == list(cli.parse_config(doc).records)
     cfg = samples(order, 1, seed=78)[0].config
     walked.clear()  # the public one-argument form walks them itself
-    assert orbifold_euler_pairsum(cfg) == crosscheck(cfg).euler_pairsum
+    assert orbifold_euler_pairsum(cfg) == crosscheck(cfg)["engine"]["euler"]
     assert len(walked) == 2 * len(cfg.records)
 
 
@@ -413,7 +414,7 @@ def test_an_odd_order3_rest_needs_no_char_dims():
     text, code = cli.run_text(json.dumps({"order": 6, "raw": raw}), fmt="json")
     assert code == cli.EXIT_OK
     diamond = json.loads(text)["diamond"]
-    assert diamond == list(map(list, crosscheck(cfg).diamond.table))
+    assert diamond == crosscheck(cfg)["diamond"]
     for splits in ((AT2, AT2), (AT2, AT4), (AT4, AT2), (AT4, AT4)):
         raw = _explicit_split_raw(cfg, *splits)
         text, code = cli.run_text(json.dumps({"order": 6, "raw": raw}), fmt="json")
@@ -616,33 +617,67 @@ def test_pairsum_is_even_for_every_valid_configuration():
 
 def test_crosscheck_worked_order4_all_pass():
     report = crosscheck(from_invariants_order4(**WORKED_ORDER4))
-    assert report.passed
-    assert (report.h11, report.h21, report.euler_pairsum) == (51, 9, 84)
-    assert {c.name for c in report.checks} == {
-        "euler_pairsum", "cy_relation", "closed_form_h11",
-        "closed_form_h21", "closed_form_euler",
-    }
+    assert report["engine"] == {"h11": 51, "h21": 9, "euler": 84}
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("euler_pairsum", "pass"), ("cy_relation", "pass"), ("closed_form_h11", "pass"),
+        ("closed_form_h21", "pass"), ("closed_form_euler", "pass"),
+    ]
+
+
+def test_a_changed_report_leaves_the_next_report_unchanged():
+    # every call builds its dicts and lists afresh, the skipped checks of a raw
+    # configuration included, and so does the CLI's report around them
+    named = from_invariants_order4(**WORKED_ORDER4)
+    for cfg in (named, K3Config(named.n, named.eigenspace, named.records)):
+        for build in (crosscheck, lambda c: cli.run(c, {"order": c.n})):
+            report = build(cfg)
+            expected = copy.deepcopy(report)
+            report["diamond"][1][1] = report["engine"]["h11"] = -1
+            report["diamond"].append([0])
+            for check in report["checks"]:
+                check["status"], check["lhs"] = "fail", -1
+            report["checks"].append(dict(report["checks"][-1]))
+            if report["closed_form"] is not None:
+                report["closed_form"]["euler"] = 0
+            report["extra"] = None
+            assert build(cfg) == expected
 
 
 def test_crosscheck_flags_inconsistent_invariants():
     # closed form and engine agree on (26, 20), but the eigenspace ranks do
     # not match this fixed locus, and the Euler routes expose it: 12 vs 24
     report = crosscheck(from_invariants_order3(4, 9, 2, 3, 2))
-    assert not report.passed
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["closed_form_h11"].status == "pass"
-    assert by_name["closed_form_h21"].status == "pass"
-    assert by_name["euler_pairsum"].status == "fail"
-    assert (by_name["euler_pairsum"].lhs, by_name["euler_pairsum"].rhs) == (12, 24)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["closed_form_h11"]["status"] == "pass"
+    assert by_name["closed_form_h21"]["status"] == "pass"
+    assert by_name["euler_pairsum"] == {"name": "euler_pairsum", "status": "fail",
+                                        "lhs": 12, "rhs": 24}
+
+
+def test_crosscheck_fails_each_closed_form_that_disagrees(monkeypatch):
+    # no valid named tuple has a closed form that disagrees with the engine, so the
+    # closed-form checks are reached by hand: each compares its own pair of numbers,
+    # and one failure makes the run exit 3
+    monkeypatch.setattr(engine, "closed_form_pair", lambda n, inv: HodgePair(50, 10))
+    monkeypatch.setattr(engine, "euler_formula", lambda n, es: euler_formula(n, es) + 2)
+    cfg = from_invariants_order4(**WORKED_ORDER4)
+    report = cli.run(cfg, {})
+    assert report["closed_form"] == {"h11": 50, "h21": 10, "euler": 86}
+    assert [(c["name"], c["status"], c["lhs"], c["rhs"]) for c in report["checks"]] == [
+        ("euler_pairsum", "pass", 84, 84), ("cy_relation", "pass", 9, 9),
+        ("closed_form_h11", "fail", 51, 50), ("closed_form_h21", "fail", 9, 10),
+        ("closed_form_euler", "fail", 84, 86)]
+    assert report["exit_code"] == cli.EXIT_CHECK
 
 
 def test_crosscheck_raw_config_skips_closed_forms():
     cfg = K3Config(2, EigenspaceDims(2, (10, 12)), (SubgroupFixedRecord(2),))
     report = crosscheck(cfg)
-    statuses = {c.name: c.status for c in report.checks}
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["closed_form_h11"] == "skipped"
     assert statuses["euler_pairsum"] == "pass"
-    assert (report.h11, report.h21) == (11, 11)
+    assert report["engine"]["h11"] == report["engine"]["h21"] == 11
+    assert report["closed_form"] is None
 
 
 def test_crosscheck_order6_raw_violating_point_relation():
@@ -654,7 +689,7 @@ def test_crosscheck_order6_raw_violating_point_relation():
         (SubgroupFixedRecord(6), rec3, SubgroupFixedRecord(2)),
     )
     report = crosscheck(cfg)
-    statuses = {c.name: c.status for c in report.checks}
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["closed_form_h11"] == "skipped"
     assert statuses["euler_pairsum"] in ("pass", "fail")
 

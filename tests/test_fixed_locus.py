@@ -30,7 +30,7 @@ from bvhodge.engine import _SECTOR_WEIGHTS
 from bvhodge.fixed_locus import ELLIPTIC_ORBITS, SUPPORTED_ORDERS
 from bvhodge.hodge import CharacterVector
 from generators import raw_form, samples
-from oracles import curve_character_dims, delta, euler_fixed_set, orbit
+from oracles import curve_character_dims, delta, euler_fixed_set, implied_dims, orbit
 
 
 def curves_in(record):
@@ -265,6 +265,26 @@ def test_euler_fixed_set_depends_only_on_gcd():
                                  g_F1=1, g_F1_quot=1, g_F2=0, g_F2_quot=0)
     for j in range(6):
         assert euler_fixed_set(cfg, j) == euler_fixed_set(cfg, gcd(j, 6))
+
+
+# --- implied_dims (topological Lefschetz) -------------------------------------
+
+def test_implied_dims_pins_two_tuples_whose_fixed_loci_imply_other_dims():
+    # every sample implies its own dims (tests/generators.py asserts it); the bundled
+    # inconsistent fixture exits 3, and the order-4 tuple exits 0 with every check passing
+    fixture = cli.parse_config(json.loads(cli.load_fixture_text("order3_inconsistent")))
+    assert (fixture.eigenspace.dims, implied_dims(fixture)) == ((4, 9, 9), (8, 7, 7))
+    cfg = from_invariants_order4(r=1, m=1, k=1, a=1, b=1, n1=2, n2=0, g_D=2, D_type="first")
+    assert (cfg.eigenspace.dims, implied_dims(cfg)) == ((1, 1, 19, 1), (5, 5, 7, 5))
+    assert implied_dims(from_invariants_order4(**WORKED_ORDER4)) == (11, 3, 5, 3)
+
+
+def test_implied_dims_refuses_traces_no_representation_has():
+    # one isolated point of an involution: the traces 22 and -1 give dims[0] = 21/2
+    cfg = K3Config(2, EigenspaceDims(2, (10, 12)),
+                   (SubgroupFixedRecord(2, points=(PointOrbit((1, 1)),)),))
+    with pytest.raises(ValueError, match=r"character 0: traces \[22, -1\] give 42/4"):
+        implied_dims(cfg)
 
 
 # --- curve_character_dims -----------------------------------------------------
