@@ -353,8 +353,9 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         else:
             text = sys.stdin.read()
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, SchemaError) as exc:  # a file's or a fixture's message names it
+        named = args.fixture is not None or args.input is not None
+        print(f"error: {exc}" if named else f"error: <stdin>: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnicodeDecodeError:
         source = (args.fixture if args.fixture is not None

@@ -1,14 +1,14 @@
 """Closed formulas for the Hodge numbers of the resolved quotients.
 
 One function per order, written directly in the named fixed-locus
-invariants, and the reduced pair-sum Euler formulas.  The general engine
-must agree with every formula here; that equality is the backbone of the
-test suite.
+invariants.  The general engine must agree with every formula here; that
+equality is the backbone of the test suite.  A closed pair's own Euler
+number is 2(h11 - h21), which the engine checks against the pair sum.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .fixed_locus import K3_H2_DIM
 from .record import Record, setfield
@@ -67,27 +67,6 @@ def hodge_order6(r: int, m: int, l: int, k: int, N: int, a: int, b: int,
         h21 = (m - 1 + 2 * g_G + 2 * g_G_quot
                + g_F1 + g_F1_quot + g_F2 + g_F2_quot)
     return HodgePair(h11, h21)
-
-
-#: pair-sum reduction coefficients: order -> weights of e(S^sigma_c) for the
-#: power classes c = 1, 2, 3 in ascending order
-EULER_WEIGHTS = {
-    2: (6,),
-    3: (8,),
-    4: (6, 3),
-    6: (4, 4, 2),
-}
-
-
-def euler_formula(order: int, e_values: Sequence[int]) -> int:
-    """Reduced pair-sum Euler characteristic of the resolved quotient.
-
-    ``e_values`` are the Euler characteristics of the fixed sets of the
-    power classes of the K3 action, ascending (class 1, then 2, then 3 as
-    applicable): 6e1 for order 2, 8e1 for order 3, 6e1 + 3e2 for order 4,
-    4e1 + 4e2 + 2e3 for order 6.
-    """
-    return sum(w * e for w, e in zip(EULER_WEIGHTS[order], e_values, strict=True))
 
 
 #: the closed forms whose parameters are the named invariants of their order

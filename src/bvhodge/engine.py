@@ -46,7 +46,7 @@ from math import gcd
 from operator import sub
 from typing import Optional
 
-from .closed_forms import closed_form_pair, euler_formula
+from .closed_forms import closed_form_pair
 from .fixed_locus import (
     ELLIPTIC_ORBITS,
     SUPPORTED_ORDERS,
@@ -261,8 +261,9 @@ def crosscheck(cfg: K3Config) -> dict:
     Euler characteristic, and h^{2,1} against h^{1,1} - e/2 (a valid
     configuration has an even pair sum).  When the configuration carries the
     named invariants its constructor built it from, also engine against closed
-    forms; otherwise those checks are skipped.  Mismatches are data, not
-    exceptions.  The report, built afresh on every call, is the part of the
+    forms, and the pair sum against the closed pair's 2(h11 - h21); otherwise
+    those checks are skipped.  Mismatches are data, not exceptions.  The
+    report, built afresh on every call, is the part of the
     ``--format json`` output the engine computes: ``diamond`` (lists),
     ``engine`` and ``closed_form`` (``{h11, h21, euler}``, the latter ``None``
     for a raw configuration) and ``checks`` (``{name, status, lhs, rhs}``).
@@ -279,12 +280,11 @@ def crosscheck(cfg: K3Config) -> dict:
                    for name in ("closed_form_h11", "closed_form_h21", "closed_form_euler")]
     else:
         pair = closed_form_pair(cfg.n, cfg.invariants)
-        e_closed = euler_formula(cfg.n, [eulers.get(cfg.n // c, 0)
-                                         for c, _ in _PAIR_CLASSES[cfg.n]])
-        closed = {"h11": pair.h11, "h21": pair.h21, "euler": e_closed}
+        # the closed pair's own Euler number, by the Calabi-Yau relation
+        closed = {"h11": pair.h11, "h21": pair.h21, "euler": 2 * (pair.h11 - pair.h21)}
         checks += [_check("closed_form_h11", h11, pair.h11),
                    _check("closed_form_h21", h21, pair.h21),
-                   _check("closed_form_euler", e_pair, e_closed)]
+                   _check("closed_form_euler", e_pair, closed["euler"])]
     return {"diamond": list(map(list, diamond.table)),
             "engine": {"h11": h11, "h21": h21, "euler": e_pair},
             "closed_form": closed, "checks": checks}

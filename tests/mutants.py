@@ -47,7 +47,7 @@ MUTANTS = (
     ("closed-h21-against-itself", ENGINE,
      '_check("closed_form_h21", h21, pair.h21)', '_check("closed_form_h21", h21, h21)'),
     ("closed-euler-against-itself", ENGINE,
-     '_check("closed_form_euler", e_pair, e_closed)',
+     '_check("closed_form_euler", e_pair, closed["euler"])',
      '_check("closed_form_euler", e_pair, e_pair)'),
     ("fail-exits-0", CLI,
      'report["exit_code"] = EXIT_CHECK if failed else EXIT_OK', 'report["exit_code"] = EXIT_OK'),
@@ -72,6 +72,19 @@ MUTANTS = (
     ("order6-quotient-genera", FIXED_LOCUS,
      "if g_G_quot > g_G or g_F1_quot > g_F1 or g_F2_quot > g_F2:", "if False:"),
     ("order6-cube-fixed-curves", FIXED_LOCUS, "if len(placed_f) > c3:", "if False:"),
+    # the structural rules of validate, one guard each
+    ("validate-dims-sum", FIXED_LOCUS, "if sum(dims) != K3_H2_DIM:", "if False:"),
+    ("validate-dims-conjugate", FIXED_LOCUS, "if dims[1:] != dims[:0:-1]:", "if False:"),
+    ("validate-d0-positive", FIXED_LOCUS, "if dims[0] < 1:", "if False:"),
+    ("validate-d1-period", FIXED_LOCUS, "if dims[1] < need:", "if False:"),
+    ("validate-duplicate-subgroup", FIXED_LOCUS, "if d in seen:", "if False:"),
+    ("validate-pointwise-quotient-genus", FIXED_LOCUS,
+     "if rho == 1 and gq != c.genus:", "if False:"),
+    ("validate-quotient-genus-range", FIXED_LOCUS, "if not 0 <= gq <= c.genus:", "if False:"),
+    ("validate-point-orbit-size", FIXED_LOCUS, "if step % p.orbit_size:", "if False:"),
+    ("validate-point-type-multiples", FIXED_LOCUS,
+     "elif t1 % step or t2 % step:", "elif False:"),
+    ("validate-point-type-sum", FIXED_LOCUS, "elif (t1 + t2) % n != step % n:", "elif False:"),
 )
 
 #: what a run leaves in the tree, which the copy leaves out

@@ -5,9 +5,10 @@ curve-count form of the order-2 Hodge numbers, the order-4 rank relations
 the samplers solve for (r, m), the Calabi-Yau Euler relation, the
 order-6 consistency functional, the character-0 slice of the Kuenneth
 product, the character split of a curve, the Euler number of the fixed set
-of a power, the eigenspace dimensions those Euler numbers imply by the
-topological Lefschetz formula, and the sector components one by one, whose
-entries the engine sums straight into each sector's table.
+of a power, the paper's reduced pair-sum formulas in those Euler numbers,
+the eigenspace dimensions they imply by the topological Lefschetz formula,
+and the sector components one by one, whose entries the engine sums
+straight into each sector's table.
 They also build the Kuenneth oracle's inputs (single characters, orbit
 characters and grids of character vectors) and the local actions whose
 ages :func:`bvhodge.cyclic.age` computes, and read a raw document field by
@@ -212,6 +213,23 @@ def euler_fixed_set(cfg: K3Config, j: int) -> int:
     for p in rec.points:
         e += p.count * p.orbit_size
     return e
+
+
+#: the paper's reduced pair-sum formulas: order -> weights of e(Fix g^c) for the
+#: power classes c = 1, 2, 3 in ascending order
+EULER_WEIGHTS = {2: (6,), 3: (8,), 4: (6, 3), 6: (4, 4, 2)}
+
+
+def euler_formula(order: int, e_values) -> int:
+    """Reduced pair-sum Euler characteristic of the resolved quotient.
+
+    ``e_values`` are the Euler characteristics of the fixed sets of the
+    power classes of the K3 action, ascending (class 1, then 2, then 3 as
+    applicable): 6e1 for order 2, 8e1 for order 3, 6e1 + 3e2 for order 4,
+    4e1 + 4e2 + 2e3 for order 6.  The engine's pair sum weighs the same
+    classes by weights it derives from the pairs of each.
+    """
+    return sum(w * e for w, e in zip(EULER_WEIGHTS[order], e_values, strict=True))
 
 
 #: 2cos(2 pi x / n) for x = 0..n-1, an integer for every supported order

@@ -22,11 +22,16 @@ from bvhodge import (
     orbifold_euler_pairsum,
     orbifold_hodge_diamond,
 )
-from bvhodge.closed_forms import euler_formula
 from bvhodge.engine import sector_contribution
 from bvhodge.hodge import euler_characteristic
 from generators import samples
-from oracles import classic_bv, corollary_order6, eager_sector_components, euler_fixed_set
+from oracles import (
+    classic_bv,
+    corollary_order6,
+    eager_sector_components,
+    euler_fixed_set,
+    euler_formula,
+)
 
 SUITE_SIZE = 500
 ORDERS = (2, 3, 4, 6)

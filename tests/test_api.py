@@ -1,6 +1,8 @@
-"""The README's Python API section runs as printed and names exactly ``bvhodge.__all__``.
+"""The README's Python API section runs as printed and names exactly ``bvhodge.__all__``,
+and its example output is what the CLI prints.
 
-So the public surface can grow only together with its documentation.
+So the public surface and the report can change only together with their
+documentation.
 """
 
 import contextlib
@@ -9,6 +11,7 @@ import re
 from pathlib import Path
 
 import bvhodge
+from bvhodge import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +37,11 @@ def test_all_is_exactly_the_documented_names():
     documented = sorted(set(re.findall(r"`([A-Za-z_]\w*)`", names_list)))
     assert sorted(bvhodge.__all__) == documented
     assert all(hasattr(bvhodge, name) for name in documented)
+
+
+def test_readme_example_output_is_the_cli_output():
+    block = re.search(r"\nExample output:\n\n```\n(.*?)```\n",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    rendered, code = cli.run_text(cli.load_fixture_text("order4_first_type"))
+    assert code == cli.EXIT_OK
+    assert block == rendered

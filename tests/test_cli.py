@@ -518,8 +518,10 @@ def test_main_inconsistent_fixture_fails_its_euler_checks(capsys):
     payload = json.loads(out)
     assert payload["exit_code"] == cli.EXIT_CHECK
     assert payload["engine"] == {"h11": 26, "h21": 20, "euler": 24}
+    # the closed pair's own Euler number, 2(26 - 20), is not the pair sum either
+    assert payload["closed_form"] == {"h11": 26, "h21": 20, "euler": 12}
     failing = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
-    assert failing == {"euler_pairsum", "cy_relation"}
+    assert failing == {"euler_pairsum", "cy_relation", "closed_form_euler"}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -561,8 +563,10 @@ def test_main_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def _cli_process(*args, stdin=b"", stdout=subprocess.PIPE, preexec_fn=None, **env):
+    # bytes are fed through a pipe; an open file is handed over as stdin itself
     src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run([sys.executable, "-m", "bvhodge.cli", *args], input=stdin,
+    feed = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    return subprocess.run([sys.executable, "-m", "bvhodge.cli", *args], **feed,
                           stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn,
                           env={**os.environ, "PYTHONPATH": str(src), **env})
 
@@ -633,6 +637,14 @@ def test_cli_process_exits_1_without_a_traceback_when_stdin_is_closed():
     assert done.returncode == cli.EXIT_PARSE
     assert done.stdout == b""
     assert done.stderr == b"error: cannot read the input: stdin is closed\n"
+
+
+def test_cli_process_names_stdin_when_it_is_open_but_not_readable():
+    with open(os.devnull, "w") as write_only:
+        done = _cli_process(stdin=write_only)
+    assert done.returncode == cli.EXIT_PARSE
+    assert done.stdout == b""
+    assert done.stderr == b"error: <stdin>: [Errno 9] Bad file descriptor\n"
 
 
 @pytest.mark.parametrize("args", [

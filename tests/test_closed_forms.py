@@ -9,11 +9,9 @@ from math import gcd
 
 import pytest
 
-from bvhodge import cli
+from bvhodge import cli, engine
 from bvhodge.closed_forms import (
-    EULER_WEIGHTS,
     HodgePair,
-    euler_formula,
     hodge_order2,
     hodge_order3,
     hodge_order4,
@@ -26,7 +24,14 @@ from bvhodge.fixed_locus import (
     from_invariants_order3,
     from_invariants_order4,
 )
-from oracles import aas_relations_order4, classic_bv, corollary_order6, cy_euler_relation
+from oracles import (
+    EULER_WEIGHTS,
+    aas_relations_order4,
+    classic_bv,
+    corollary_order6,
+    cy_euler_relation,
+    euler_formula,
+)
 
 
 # --- order 2 -----------------------------------------------------------------
@@ -188,6 +193,10 @@ def test_euler_weights_are_the_pair_sum_over_every_pair():
                     totals[c] = totals.get(c, 0) + sum(ELLIPTIC_ORBITS[n][n // c])
         assert all(total % n == 0 for total in totals.values())
         assert tuple(totals[c] // n for c in sorted(totals)) == weights, n
+        # the engine's pair sum runs the same weights, derived at import
+        assert tuple((c, w // n) for c, w in engine._PAIR_CLASSES[n]) == tuple(
+            zip(sorted(totals), weights)), n
+    assert EULER_WEIGHTS.keys() == engine._PAIR_CLASSES.keys()
 
 
 def test_euler_formula_rejects_bad_order_or_arity():

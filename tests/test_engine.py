@@ -32,7 +32,7 @@ from bvhodge import (
     validate,
 )
 from bvhodge import engine, hodge
-from bvhodge.closed_forms import HodgePair, euler_formula
+from bvhodge.closed_forms import HodgePair
 from bvhodge.cyclic import age
 from bvhodge.engine import sector_contribution, untwisted_diamond
 from bvhodge.hodge import euler_characteristic, kunneth_character_product
@@ -43,6 +43,7 @@ from oracles import (
     curve_character_dims,
     eager_sector_components,
     euler_fixed_set,
+    euler_formula,
     invariant_diamond,
     power_transport,
     table_of,
@@ -656,17 +657,17 @@ def test_crosscheck_flags_inconsistent_invariants():
 
 def test_crosscheck_fails_each_closed_form_that_disagrees(monkeypatch):
     # no valid named tuple has a closed form that disagrees with the engine, so the
-    # closed-form checks are reached by hand: each compares its own pair of numbers,
-    # and one failure makes the run exit 3
+    # closed-form checks are reached by hand: the pair (50, 10) fails both Hodge checks
+    # and, through its own Euler number 2(50 - 10) = 80, the Euler check, and one
+    # failure makes the run exit 3
     monkeypatch.setattr(engine, "closed_form_pair", lambda n, inv: HodgePair(50, 10))
-    monkeypatch.setattr(engine, "euler_formula", lambda n, es: euler_formula(n, es) + 2)
     cfg = from_invariants_order4(**WORKED_ORDER4)
     report = cli.run(cfg, {})
-    assert report["closed_form"] == {"h11": 50, "h21": 10, "euler": 86}
+    assert report["closed_form"] == {"h11": 50, "h21": 10, "euler": 80}
     assert [(c["name"], c["status"], c["lhs"], c["rhs"]) for c in report["checks"]] == [
         ("euler_pairsum", "pass", 84, 84), ("cy_relation", "pass", 9, 9),
         ("closed_form_h11", "fail", 51, 50), ("closed_form_h21", "fail", 9, 10),
-        ("closed_form_euler", "fail", 84, 86)]
+        ("closed_form_euler", "fail", 84, 80)]
     assert report["exit_code"] == cli.EXIT_CHECK
 
 
